@@ -7,7 +7,10 @@ divisor r.  Folding that count about the diagonal r = s gives
     D(x) = 2 * sum_{k <= sqrt(x)} floor(x/k) - floor(sqrt(x))^2,
 
 because every point has min(r, s) <= sqrt(x), and the square block with
-both coordinates <= sqrt(x) is the part counted twice.
+both coordinates <= sqrt(x) is the part counted twice.  floor_sum evaluates
+the floor sum with numpy in int64 chunks of at most min(CHUNK, MAX_NATURAL // x)
+terms.  Every term is at most x, so no chunk's int64 sum can wrap; the
+chunk sums are added up as Python ints.
 
 lattice_count evaluates the unfolded floor sum sum_{r<=M} floor(M/r)
 instead, batching the O(sqrt M) maximal ranges of r over which the
@@ -19,14 +22,28 @@ Boundary convention: points on the hyperbola r*s = x are included,
 points on either axis are not.
 """
 
+import numpy as np
+
 from .arith import MAX_NATURAL, check_natural, isqrt
+
+CHUNK = 2**14
+
+
+def floor_sum(x: int, r: int) -> int:
+    """Exact sum_{k=1..r} x // k for 0 <= x <= 2^63 - 1, as a Python int."""
+    step = min(CHUNK, MAX_NATURAL // max(x, 1))
+    total = 0
+    for lo in range(1, r + 1, step):
+        k = np.arange(lo, min(lo + step, r + 1), dtype=np.int64)
+        total += int((x // k).sum())
+    return total
 
 
 def divisor_summatory(x: int) -> int:
     """Exact D(x) = sum_{n<=x} tau(n) via the folded hyperbola identity."""
     check_natural(x, "x")
     r = isqrt(x)
-    total = 2 * sum(x // k for k in range(1, r + 1)) - r * r
+    total = 2 * floor_sum(x, r) - r * r
     if total > MAX_NATURAL:
         raise OverflowError(f"divisor_summatory({x}) exceeds the 2^63 - 1 contract")
     return total

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from gcdsum import isqrt, sieve_tau, tau
+from gcdsum.arith import sieve_cap
 from oracles import tau_by_enumeration
 
 
@@ -103,6 +104,15 @@ def test_sieve_cap_env_override(monkeypatch):
     monkeypatch.setenv("GCDSUM_SIEVE_CAP", "not-a-number")
     with pytest.raises(ValueError):
         sieve_tau(10)
+
+
+@pytest.mark.parametrize("raw", ["0", "-3"])
+def test_sieve_cap_below_one_is_refused(monkeypatch, raw):
+    monkeypatch.setenv("GCDSUM_SIEVE_CAP", raw)
+    with pytest.raises(ValueError, match="GCDSUM_SIEVE_CAP"):
+        sieve_cap()
+    with pytest.raises(ValueError, match="GCDSUM_SIEVE_CAP"):
+        sieve_tau(1)
 
 
 def test_sieve_arrays_are_frozen():

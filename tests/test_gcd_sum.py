@@ -6,6 +6,7 @@ import pytest
 from gcdsum import (
     Algorithm,
     divisor_summatory,
+    isqrt,
     lattice_count,
     s_brute,
     s_exact,
@@ -14,6 +15,8 @@ from gcdsum import (
     sieve_tau,
     tau,
 )
+from gcdsum.arith import DEFAULT_SIEVE_CAP
+from gcdsum.gcd_sum import TABLE_CAP, table_limit
 from oracles import common_divisors, s_by_pair_enumeration
 
 
@@ -57,6 +60,58 @@ def test_three_way_agreement_random():
     for _ in range(10):
         n = rng.randrange(1, 10**5)
         assert s_brute(n) == s_lemma1(n) == s_identity(n)
+
+
+def test_identity_at_perfect_squares():
+    for k in range(1, 401):
+        for n in (k * k - 1, k * k, k * k + 1):
+            if n >= 1:
+                assert s_identity(n) == s_lemma1(n), n
+
+
+def _split_quotient(n):
+    """n // (L + 1): s_identity reads every d > isqrt of it from its table."""
+    return n // (table_limit(n, DEFAULT_SIEVE_CAP) + 1)
+
+
+def test_identity_where_split_point_moves():
+    split = [0] + [isqrt(_split_quotient(n)) + 1 for n in range(1, 200_001)]
+    moves = [n for n in range(2, 200_001) if split[n] != split[n - 1]]
+    up = [n for n in moves if split[n] > split[n - 1]]
+    assert len(up) >= 10
+    for n in up:
+        # the split moves up where n // (L + 1) reaches a perfect square
+        assert isqrt(_split_quotient(n)) ** 2 == _split_quotient(n)
+    for n in moves:
+        for m in (n - 1, n, n + 1):
+            assert s_identity(m) == s_lemma1(m), m
+
+
+def test_identity_where_table_limit_reaches_its_cap():
+    lo, hi = 1, 10**10
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if table_limit(mid, DEFAULT_SIEVE_CAP) < TABLE_CAP:
+            lo = mid + 1
+        else:
+            hi = mid
+    assert 3.7e8 < lo < 3.9e8
+    assert table_limit(lo - 1, DEFAULT_SIEVE_CAP) < TABLE_CAP
+    for n in (lo - 1, lo, lo + 1):
+        assert s_identity(n) == s_lemma1(n), n
+
+
+def test_identity_under_a_lowered_sieve_cap(monkeypatch):
+    monkeypatch.setenv("GCDSUM_SIEVE_CAP", "10")
+    assert s_identity(10**6) == 21107131
+    monkeypatch.setenv("GCDSUM_SIEVE_CAP", "1")
+    assert s_identity(12345) == s_lemma1(12345)
+
+
+def test_identity_refuses_a_sieve_cap_below_one(monkeypatch):
+    monkeypatch.setenv("GCDSUM_SIEVE_CAP", "0")
+    with pytest.raises(ValueError, match="GCDSUM_SIEVE_CAP"):
+        s_identity(100)
 
 
 def test_s_is_strictly_increasing_with_tau_sized_steps():

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from gcdsum import divisor_summatory, lattice_count, sieve_tau
+from gcdsum.summatory import CHUNK, floor_sum
 from oracles import lattice_by_enumeration, tau_by_enumeration
 
 
@@ -65,3 +66,23 @@ def test_magnitude_contract_on_inputs():
         lattice_count(2**63)
     with pytest.raises(ValueError):
         divisor_summatory(-5)
+
+
+@pytest.mark.parametrize("x", [2**60, 2**62 + 12345, 2**63 - 1])
+def test_floor_sum_chunks_cannot_wrap(x):
+    # a few terms near 2^63 already overflow an int64 sum, so the chunks
+    # must shrink to MAX_NATURAL // x terms
+    for r in (1, 2, 7, 100):
+        assert floor_sum(x, r) == sum(x // k for k in range(1, r + 1))
+
+
+def test_floor_sum_across_chunk_boundaries():
+    x = 10**12
+    for r in (CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 5):
+        assert floor_sum(x, r) == sum(x // k for k in range(1, r + 1))
+
+
+def test_divisor_summatory_returns_python_int():
+    value = divisor_summatory(10**10)
+    assert type(value) is int
+    assert value == lattice_count(10**10)

@@ -16,7 +16,6 @@ from .asymptotics import (
 )
 from .constants import (
     AsymptoticConstants,
-    HighPrecisionReal,
     default_constants,
     euler_gamma,
     log_tail,
@@ -35,7 +34,6 @@ __all__ = [
     "AsymptoticConstants",
     "DivisorTable",
     "ErrorRecord",
-    "HighPrecisionReal",
     "ScanSpec",
     "Spacing",
     "default_constants",

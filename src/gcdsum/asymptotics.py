@@ -12,15 +12,10 @@ import math
 import time
 from dataclasses import dataclass
 
-from mpmath import mp
+from mpmath import mpf
 
 from .arith import check_natural
-from .constants import (
-    WORKING_DPS,
-    AsymptoticConstants,
-    HighPrecisionReal,
-    default_constants,
-)
+from .constants import _CTX, AsymptoticConstants, default_constants
 from .gcd_sum import Algorithm, s_exact
 
 
@@ -73,22 +68,20 @@ class ErrorRecord:
 
     n: int
     s_exact: int
-    a_main: HighPrecisionReal
-    error: HighPrecisionReal
-    normalized: HighPrecisionReal
+    a_main: mpf
+    error: mpf
+    normalized: mpf
     algorithm: Algorithm
     elapsed: float
 
 
-def main_term(n: int, constants: AsymptoticConstants | None = None) -> HighPrecisionReal:
+def main_term(n: int, constants: AsymptoticConstants | None = None) -> mpf:
     """A(N) = c1*N*log(N) + c0*N at working precision (natural log)."""
     check_natural(n)
     if n < 1:
         raise ValueError("main_term requires N >= 1")
     k = constants if constants is not None else default_constants()
-    with mp.workdps(WORKING_DPS):
-        value = k.c1.value * n * mp.log(n) + k.c0.value * n
-    return HighPrecisionReal(value, min(k.c1.precision, k.c0.precision))
+    return k.c1 * n * _CTX.log(n) + k.c0 * n
 
 
 def error_at(n: int, algorithm: Algorithm = Algorithm.IDENTITY_SUMMATORY,
@@ -100,8 +93,7 @@ def error_at(n: int, algorithm: Algorithm = Algorithm.IDENTITY_SUMMATORY,
     elapsed = time.perf_counter() - start
     a = main_term(n, k)
     error = s - a
-    with mp.workdps(WORKING_DPS):
-        normalized = error / mp.sqrt(n)
+    normalized = error / _CTX.sqrt(n)
     return ErrorRecord(n=n, s_exact=s, a_main=a, error=error,
                        normalized=normalized, algorithm=algorithm, elapsed=elapsed)
 

@@ -16,13 +16,11 @@ import sys
 import time
 
 from .asymptotics import ScanSpec, Spacing, error_scan, main_term
-from .constants import default_constants
+from .constants import _CTX, TRUSTED_DIGITS, default_constants
 from .gcd_sum import Algorithm, s_exact
 from .report import write_csv, write_svg
 
 _ALGORITHMS = {a.value: a for a in Algorithm}
-
-_MAX_DIGITS = 30
 
 
 def _cmd_exact(args) -> int:
@@ -46,12 +44,12 @@ def _cmd_predict(args) -> int:
 
 
 def _cmd_constants(args) -> int:
-    if not 1 <= args.digits <= _MAX_DIGITS:
-        raise ValueError(f"--digits must be in [1, {_MAX_DIGITS}], got {args.digits}")
+    if not 1 <= args.digits <= TRUSTED_DIGITS:
+        raise ValueError(f"--digits must be in [1, {TRUSTED_DIGITS}], got {args.digits}")
     k = default_constants()
     for name, value in (("zeta2", k.zeta2), ("gamma", k.gamma), ("theta", k.theta),
                         ("c1", k.c1), ("c0", k.c0)):
-        print(f"{name:<5} = {value.digits(args.digits)}   (trusted digits: {value.precision})")
+        print(f"{name:<5} = {_CTX.nstr(value, args.digits)}   (trusted digits: {TRUSTED_DIGITS})")
     return 0
 
 

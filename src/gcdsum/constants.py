@@ -6,8 +6,11 @@ The bundle is
     c0 = (2*gamma - 1) * zeta(2) - 2 * theta,
 
 with gamma the Euler-Mascheroni constant and theta = sum_{d>=1} log(d)/d^2.
-Everything is evaluated with mpmath at WORKING_DPS digits and exported as a
-HighPrecisionReal carrying a conservative count of trusted digits.
+Everything is evaluated in one module-private mpmath context fixed at
+WORKING_DPS digits and returned as a plain mpf of that context, trusted to
+TRUSTED_DIGITS significant digits.  The context is set up once at import
+and never written afterwards, so no result depends on the global
+`mpmath.mp` or on thread scheduling.
 
 gamma and theta are computed here by Euler-Maclaurin summation rather than
 taken from a table:
@@ -43,89 +46,35 @@ test suite uses them as independent references for exactly that reason.
 import functools
 from dataclasses import dataclass
 
-from mpmath import mp, mpf
+import mpmath
+from mpmath import mpf
 
 from .arith import check_natural
 
 WORKING_DPS = 40
+
+# Trusted significant digits of every value below: the Euler-Maclaurin
+# truncation cutoff leaves ~30 digits and WORKING_DPS = 40 gives margin.
+TRUSTED_DIGITS = 30
+
+# All arithmetic on the values below (mpf operators included) runs at this
+# context's precision.  Nothing may change it after this line.
+_CTX = mpmath.MPContext()
+_CTX.dps = WORKING_DPS
 
 _EM_STOP = 1e-30
 _EM_SWITCH = 10**4
 _GAMMA_M = 10**4
 _THETA_M = 10**4
 
-# Trusted significant digits claimed for Euler-Maclaurin results: the
-# truncation cutoff leaves ~30 digits and WORKING_DPS = 40 gives margin.
-_EM_DIGITS = 30
 
-
-@dataclass(frozen=True)
-class HighPrecisionReal:
-    """An mpf value tagged with the number of trusted significant digits.
-
-    Arithmetic runs at WORKING_DPS and reports the minimum of the two
-    operands' precisions; plain ints, floats and mpf values count as exact.
-    """
-
-    value: mpf
-    precision: int
-
-    def _binop(self, other, op, swapped=False):
-        if isinstance(other, HighPrecisionReal):
-            other_value, other_prec = other.value, other.precision
-        elif isinstance(other, (int, float, mpf)):
-            other_value, other_prec = other, self.precision
-        else:
-            return NotImplemented
-        a, b = (other_value, self.value) if swapped else (self.value, other_value)
-        with mp.workdps(WORKING_DPS):
-            return HighPrecisionReal(op(a, b), min(self.precision, other_prec))
-
-    def __add__(self, other):
-        return self._binop(other, lambda a, b: a + b)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return self._binop(other, lambda a, b: a - b)
-
-    def __rsub__(self, other):
-        return self._binop(other, lambda a, b: a - b, swapped=True)
-
-    def __mul__(self, other):
-        return self._binop(other, lambda a, b: a * b)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        return self._binop(other, lambda a, b: a / b)
-
-    def __rtruediv__(self, other):
-        return self._binop(other, lambda a, b: a / b, swapped=True)
-
-    def __neg__(self):
-        return HighPrecisionReal(-self.value, self.precision)
-
-    def __abs__(self):
-        return HighPrecisionReal(abs(self.value), self.precision)
-
-    def __float__(self):
-        return float(self.value)
-
-    def digits(self, n: int) -> str:
-        """The value rendered to n significant digits."""
-        return mp.nstr(self.value, n)
-
-
-def zeta2() -> HighPrecisionReal:
+def zeta2() -> mpf:
     """zeta(2) = pi^2 / 6, from mpmath's pi at working precision."""
-    with mp.workdps(WORKING_DPS):
-        value = mp.pi**2 / 6
-    return HighPrecisionReal(value, WORKING_DPS - 2)
+    return _CTX.pi**2 / 6
 
 
 @functools.cache
-def euler_gamma(m: int = _GAMMA_M) -> HighPrecisionReal:
+def euler_gamma(m: int = _GAMMA_M) -> mpf:
     """Euler-Mascheroni constant by Euler-Maclaurin at cutoff m.
 
     gamma = sum_{k<=m} 1/k - log m - 1/(2m) + sum_j B_{2j}/(2j * m^{2j}),
@@ -135,44 +84,40 @@ def euler_gamma(m: int = _GAMMA_M) -> HighPrecisionReal:
     check_natural(m, "m")
     if m < 2:
         raise ValueError("gamma cutoff m must be >= 2")
-    with mp.workdps(WORKING_DPS):
-        value = mp.fsum(mpf(1) / k for k in range(1, m + 1))
-        value -= mp.log(m) + mpf(1) / (2 * m)
-        j, prev = 1, mp.inf
-        while True:
-            term = mp.bernoulli(2 * j) / (2 * j * mpf(m) ** (2 * j))
-            if abs(term) < _EM_STOP or abs(term) >= prev:
-                break
-            value += term
-            prev = abs(term)
-            j += 1
-    return HighPrecisionReal(value, _EM_DIGITS)
+    one = _CTX.mpf(1)
+    value = _CTX.fsum(one / k for k in range(1, m + 1))
+    value -= _CTX.log(m) + one / (2 * m)
+    j, prev = 1, _CTX.inf
+    while True:
+        term = _CTX.bernoulli(2 * j) / (2 * j * _CTX.mpf(m) ** (2 * j))
+        if abs(term) < _EM_STOP or abs(term) >= prev:
+            break
+        value += term
+        prev = abs(term)
+        j += 1
+    return value
 
 
 @functools.cache
-def theta(m: int = _THETA_M) -> HighPrecisionReal:
+def theta(m: int = _THETA_M) -> mpf:
     """sum_{d>=1} log(d)/d^2: direct head up to m plus Euler-Maclaurin tail."""
     check_natural(m, "m")
     if m < 2:
         raise ValueError("theta cutoff m must be >= 2")
-    with mp.workdps(WORKING_DPS):
-        head = mp.fsum(mp.log(d) / (d * d) for d in range(2, m + 1))
-        value = head + log_tail(m).value
-    return HighPrecisionReal(value, _EM_DIGITS)
+    head = _CTX.fsum(_CTX.log(d) / (d * d) for d in range(2, m + 1))
+    return head + log_tail(m)
 
 
-def partial_zeta2(m: int) -> HighPrecisionReal:
+def partial_zeta2(m: int) -> mpf:
     """sum_{d<=m} 1/d^2 by direct summation at working precision."""
     check_natural(m, "m")
     if m < 1:
         raise ValueError("partial_zeta2 needs m >= 1")
-    with mp.workdps(WORKING_DPS):
-        one = mpf(1)
-        value = mp.fsum(one / (d * d) for d in range(1, m + 1))
-    return HighPrecisionReal(value, _EM_DIGITS)
+    one = _CTX.mpf(1)
+    return _CTX.fsum(one / (d * d) for d in range(1, m + 1))
 
 
-def log_tail(m: int) -> HighPrecisionReal:
+def log_tail(m: int) -> mpf:
     """sum_{d>m} log(d)/d^2.
 
     Sums directly up to max(m, 10^4), then applies Euler-Maclaurin with
@@ -182,28 +127,26 @@ def log_tail(m: int) -> HighPrecisionReal:
     check_natural(m, "m")
     if m < 2:
         raise ValueError("log_tail needs m >= 2")
-    with mp.workdps(WORKING_DPS):
-        m0 = max(m, _EM_SWITCH)
-        value = mpf(0)
-        if m0 > m:
-            value = mp.fsum(mp.log(d) / (d * d) for d in range(m + 1, m0 + 1))
-        value += _log_tail_euler_maclaurin(m0)
-    return HighPrecisionReal(value, _EM_DIGITS)
+    m0 = max(m, _EM_SWITCH)
+    value = _CTX.mpf(0)
+    if m0 > m:
+        value = _CTX.fsum(_CTX.log(d) / (d * d) for d in range(m + 1, m0 + 1))
+    return value + _log_tail_euler_maclaurin(m0)
 
 
 def _log_tail_euler_maclaurin(m: int) -> mpf:
-    """Tail of log(d)/d^2 past m by Euler-Maclaurin; caller sets precision."""
-    lg = mp.log(m)
-    total = (lg + 1) / m - lg / (2 * mpf(m) ** 2)
+    """Tail of log(d)/d^2 past m by Euler-Maclaurin."""
+    lg = _CTX.log(m)
+    total = (lg + 1) / m - lg / (2 * _CTX.mpf(m) ** 2)
     alpha, beta = 1, 0  # f^(k)(x) = (alpha*log x + beta) / x^(k+2), exact ints
     order = 0
-    j, prev = 1, mp.inf
+    j, prev = 1, _CTX.inf
     while True:
         while order < 2 * j - 1:
             alpha, beta = -(order + 2) * alpha, alpha - (order + 2) * beta
             order += 1
-        derivative = (alpha * lg + beta) / mpf(m) ** (order + 2)
-        term = mp.bernoulli(2 * j) / mp.factorial(2 * j) * derivative
+        derivative = (alpha * lg + beta) / _CTX.mpf(m) ** (order + 2)
+        term = _CTX.bernoulli(2 * j) / _CTX.factorial(2 * j) * derivative
         if abs(term) < _EM_STOP or abs(term) >= prev:
             break
         total -= term
@@ -220,23 +163,18 @@ class AsymptoticConstants:
     recomputed and checked on construction.
     """
 
-    zeta2: HighPrecisionReal
-    gamma: HighPrecisionReal
-    theta: HighPrecisionReal
-    c1: HighPrecisionReal
-    c0: HighPrecisionReal
+    zeta2: mpf
+    gamma: mpf
+    theta: mpf
+    c1: mpf
+    c0: mpf
 
     def __post_init__(self):
-        for name in ("zeta2", "gamma", "theta", "c1", "c0"):
-            field = getattr(self, name)
-            if field.precision < 25:
-                raise ValueError(f"{name} carries only {field.precision} digits")
-        if self.c1.value != self.zeta2.value:
+        if self.c1 != self.zeta2:
             raise ValueError("c1 must equal zeta2 exactly")
         rebuilt = (2 * self.gamma - 1) * self.zeta2 - 2 * self.theta
-        with mp.workdps(WORKING_DPS):
-            if abs(rebuilt.value - self.c0.value) > mpf(10) ** (-_EM_DIGITS):
-                raise ValueError("c0 does not match (2*gamma - 1)*zeta2 - 2*theta")
+        if abs(rebuilt - self.c0) > _CTX.mpf(10) ** (-TRUSTED_DIGITS):
+            raise ValueError("c0 does not match (2*gamma - 1)*zeta2 - 2*theta")
 
 
 @functools.cache

@@ -108,11 +108,11 @@ def s_identity(n: int) -> int:
     return total
 
 
-def s_exact(n: int, algorithm: Algorithm = Algorithm.IDENTITY_SUMMATORY,
-            brute_cap: int = DEFAULT_BRUTE_CAP) -> int:
+def s_exact(n: int, algorithm: Algorithm = Algorithm.IDENTITY_SUMMATORY) -> int:
     """Evaluate S(N) with the requested algorithm."""
+    # An if chain, not an import-time dict, so rebinding s_brute etc. takes effect.
     if algorithm is Algorithm.BRUTE:
-        return s_brute(n, cap=brute_cap)
+        return s_brute(n)
     if algorithm is Algorithm.LEMMA1_LATTICE:
         return s_lemma1(n)
     if algorithm is Algorithm.IDENTITY_SUMMATORY:

@@ -10,12 +10,13 @@ from gcdsum import (
     error_scan,
     main_term,
 )
+from gcdsum.constants import TRUSTED_DIGITS
 
 
 def test_main_term_at_one_is_c0():
     k = default_constants()
     a = main_term(1)
-    assert a.value == k.c0.value  # log(1) = 0 exactly
+    assert a == k.c0  # log(1) = 0 exactly
     assert -1.622 < float(a) < -1.620
 
 
@@ -26,12 +27,17 @@ def test_main_term_at_ten_against_independent_assembly():
         c0 = (2 * mp.euler - 1) * z + 2 * mp.zeta(2, derivative=1)
         ref = z * 10 * mp.log(10) + c0 * 10
     a = main_term(10)
-    assert abs(a.value - ref) < mpf("1e-20")
+    assert abs(a - ref) < mpf("1e-20")
     assert abs(float(a) - 21.66) < 0.01
 
 
 def test_main_term_precision_contract():
-    assert main_term(10**6).precision >= 18
+    assert TRUSTED_DIGITS >= 18
+    with mp.workdps(60):
+        z = mp.zeta(2)
+        c0 = (2 * mp.euler - 1) * z + 2 * mp.zeta(2, derivative=1)
+        ref = z * 10**6 * mp.log(10**6) + c0 * 10**6
+        assert abs(main_term(10**6) - ref) < abs(ref) * mpf(10) ** -18
 
 
 def test_main_term_rejects_zero():
@@ -44,8 +50,8 @@ def test_error_at_ten():
     assert rec.s_exact == 31
     assert abs(float(rec.normalized) - 2.9518802340634758) < 1e-9
     with mp.workdps(40):
-        assert rec.error.value == mpf(31) - rec.a_main.value
-        assert abs(rec.normalized.value * mp.sqrt(10) - rec.error.value) < mpf("1e-25")
+        assert rec.error == mpf(31) - rec.a_main
+        assert abs(rec.normalized * mp.sqrt(10) - rec.error) < mpf("1e-25")
 
 
 def test_error_at_one_brute():
@@ -54,7 +60,7 @@ def test_error_at_one_brute():
     assert rec.s_exact == 1
     assert rec.algorithm is Algorithm.BRUTE
     with mp.workdps(40):
-        assert abs(rec.error.value - (1 - k.c0.value)) < mpf("1e-30")
+        assert abs(rec.error - (1 - k.c0)) < mpf("1e-30")
     assert abs(float(rec.error) - 2.6210671532499509) < 1e-9
 
 
@@ -104,9 +110,9 @@ def test_scan_records_ascending_and_deterministic():
     for a, b in zip(first, second):
         assert a.n == b.n
         assert a.s_exact == b.s_exact
-        assert a.a_main.value == b.a_main.value
-        assert a.error.value == b.error.value
-        assert a.normalized.value == b.normalized.value
+        assert a.a_main == b.a_main
+        assert a.error == b.error
+        assert a.normalized == b.normalized
         assert a.algorithm == b.algorithm
 
 

@@ -1,9 +1,8 @@
 import pytest
-from mpmath import mp, mpf
+from mpmath import mp, mpf, nstr
 
 from gcdsum import (
     AsymptoticConstants,
-    HighPrecisionReal,
     default_constants,
     euler_gamma,
     isqrt,
@@ -12,6 +11,7 @@ from gcdsum import (
     theta,
     zeta2,
 )
+from gcdsum.constants import TRUSTED_DIGITS
 
 # Reference digits, frozen after cross-checking against mpmath's builtin
 # euler constant and zeta derivative (independent of this package's
@@ -30,56 +30,56 @@ def _ref(s: str) -> mpf:
 
 def test_zeta2_closed_form_digits():
     z = zeta2()
-    assert z.digits(26) == "1.6449340668482264364724152"
-    assert abs(z.value - _ref(ZETA2_REF)) < mpf("1e-29")
-    assert z.precision >= 25
+    assert nstr(z, 26) == "1.6449340668482264364724152"
+    assert abs(z - _ref(ZETA2_REF)) < mpf("1e-29")
+    assert TRUSTED_DIGITS >= 25
 
 
 def test_zeta2_against_mpmath_zeta():
     with mp.workdps(40):
         ref = mp.zeta(2)
-    assert abs(zeta2().value - ref) < mpf("1e-35")
+    assert abs(zeta2() - ref) < mpf("1e-35")
 
 
 def test_zeta2_against_partial_sum_tail():
     # tail of 1/d^2 past M is 1/M - 1/(2M^2) + O(1/M^3)
     m = 10**6
     with mp.workdps(40):
-        approx = partial_zeta2(m).value + mpf(1) / m - mpf(1) / (2 * m * m)
-        assert abs(zeta2().value - approx) < mpf("1e-17")
+        approx = partial_zeta2(m) + mpf(1) / m - mpf(1) / (2 * m * m)
+        assert abs(zeta2() - approx) < mpf("1e-17")
 
 
 # ------------------------------------------------------------------ gamma
 
 def test_gamma_digits():
     g = euler_gamma()
-    assert g.digits(25) == "0.5772156649015328606065121"
-    assert abs(g.value - _ref(GAMMA_REF)) < mpf("1e-28")
-    assert g.precision >= 25
+    assert nstr(g, 25) == "0.5772156649015328606065121"
+    assert abs(g - _ref(GAMMA_REF)) < mpf("1e-28")
+    assert TRUSTED_DIGITS >= 25
     assert 0.577 < float(g) < 0.578
 
 
 def test_gamma_against_mpmath_reference():
     with mp.workdps(40):
         ref = +mp.euler
-    assert abs(euler_gamma().value - ref) < mpf("1e-28")
+    assert abs(euler_gamma() - ref) < mpf("1e-28")
 
 
 def test_gamma_cutoff_independence():
-    assert abs(euler_gamma(10**5).value - euler_gamma().value) < mpf("1e-28")
+    assert abs(euler_gamma(10**5) - euler_gamma()) < mpf("1e-28")
 
 
 def test_two_gamma_minus_one():
     v = 2 * euler_gamma() - 1
-    assert v.digits(25) == "0.1544313298030657212130242"
+    assert nstr(v, 25) == "0.1544313298030657212130242"
 
 
 # ------------------------------------------------------------------ theta
 
 def test_theta_digits():
     t = theta()
-    assert abs(t.value - _ref(THETA_REF)) < mpf("1e-28")
-    assert t.precision >= 25
+    assert abs(t - _ref(THETA_REF)) < mpf("1e-28")
+    assert TRUSTED_DIGITS >= 25
     assert 0.93 < float(t) < 0.94
 
 
@@ -87,11 +87,11 @@ def test_theta_against_zeta_derivative():
     # independent reference: theta = -zeta'(2)
     with mp.workdps(40):
         ref = -mp.zeta(2, derivative=1)
-    assert abs(theta().value - ref) < mpf("1e-28")
+    assert abs(theta() - ref) < mpf("1e-28")
 
 
 def test_theta_cutoff_independence():
-    assert abs(theta(2 * 10**4).value - theta().value) < mpf("1e-28")
+    assert abs(theta(2 * 10**4) - theta()) < mpf("1e-28")
 
 
 def test_theta_sum_split_consistency():
@@ -99,24 +99,24 @@ def test_theta_sum_split_consistency():
     for m in (100, 1000, 10**4):
         with mp.workdps(40):
             head = mp.fsum(mp.log(d) / (d * d) for d in range(2, m + 1))
-            total = head + log_tail(m).value
-        assert abs(total - theta().value) < mpf("1e-15")
+            total = head + log_tail(m)
+        assert abs(total - theta()) < mpf("1e-15")
 
 
 # ----------------------------------------------------------- partial sums
 
 def test_partial_zeta2_single_term():
-    assert partial_zeta2(1).value == 1
+    assert partial_zeta2(1) == 1
 
 
 def test_partial_zeta2_ten_terms():
-    assert abs(partial_zeta2(10).value - _ref("1.549767731166540690350214")) < mpf("1e-24")
+    assert abs(partial_zeta2(10) - _ref("1.549767731166540690350214")) < mpf("1e-24")
 
 
 def test_partial_zeta2_integral_bracket():
-    z = zeta2().value
+    z = zeta2()
     for m in (10, 100, 1000):
-        gap = z - partial_zeta2(m).value
+        gap = z - partial_zeta2(m)
         assert mpf(1) / (m + 1) < gap < mpf(1) / m
 
 
@@ -129,20 +129,20 @@ def test_partial_zeta2_rejects_zero():
 
 def test_log_tail_frozen_value():
     # cross-checked against -zeta'(2) minus the direct head sum
-    assert abs(log_tail(1000).value - _ref("0.007904302469301664999949214")) < mpf("1e-25")
+    assert abs(log_tail(1000) - _ref("0.007904302469301664999949214")) < mpf("1e-25")
 
 
 def test_log_tail_against_zeta_derivative_oracle():
     with mp.workdps(40):
         ref = -mp.zeta(2, derivative=1) - mp.fsum(
             mp.log(d) / (d * d) for d in range(2, 1001))
-    assert abs(log_tail(1000).value - ref) < mpf("1e-25")
+    assert abs(log_tail(1000) - ref) < mpf("1e-25")
 
 
 def test_log_tail_leading_terms():
     with mp.workdps(40):
         lead = (mp.log(1000) + 1) / 1000 - mp.log(1000) / (2 * 1000**2)
-    assert abs(log_tail(1000).value - lead) < mpf("1e-8")
+    assert abs(log_tail(1000) - lead) < mpf("1e-8")
 
 
 def test_log_tail_sqrt_cutoff_behavior():
@@ -151,12 +151,12 @@ def test_log_tail_sqrt_cutoff_behavior():
         m = isqrt(n)
         with mp.workdps(40):
             lead = mp.log(n) / (2 * mp.sqrt(n)) + 1 / mp.sqrt(n)
-            diff = abs(log_tail(m).value - lead)
+            diff = abs(log_tail(m) - lead)
             assert diff < mp.log(n) / n
 
 
 def test_log_tail_upper_bound_at_1e6():
-    assert log_tail(10**6).value < mpf("1.5e-5")
+    assert log_tail(10**6) < mpf("1.5e-5")
 
 
 def test_log_tail_integral_bracket():
@@ -164,7 +164,7 @@ def test_log_tail_integral_bracket():
         with mp.workdps(40):
             lower = (mp.log(m + 1) + 1) / (m + 1)
             upper = (mp.log(m) + 1) / m
-        assert lower < log_tail(m).value < upper
+        assert lower < log_tail(m) < upper
 
 
 def test_log_tail_rejects_small_m():
@@ -174,42 +174,24 @@ def test_log_tail_rejects_small_m():
         log_tail(0)
 
 
-# ------------------------------------------------- HighPrecisionReal type
-
-def test_hpr_min_precision_propagation():
-    a = HighPrecisionReal(mpf(2), 30)
-    b = HighPrecisionReal(mpf(3), 27)
-    assert (a + b).precision == 27
-    assert (a - b).precision == 27
-    assert (a * b).precision == 27
-    assert (a / b).precision == 27
-
-
-def test_hpr_exact_operands_keep_precision():
-    a = HighPrecisionReal(mpf(2), 30)
-    assert (a * 3).precision == 30
-    assert (1 - a).precision == 30
-    assert float(1 - a) == -1.0
-    assert float(6 / a) == 3.0
-    assert float(-a) == -2.0
-    assert float(abs(-a)) == 2.0
-
+# ------------------------------------------------------------- rendering
 
 def test_hpr_digits_rendering():
-    a = HighPrecisionReal(mpf(2) / 3, 30)
-    assert a.digits(6) == "0.666667"
+    # values live at 40 digits whatever the global mpmath precision is
+    a = 2 * partial_zeta2(1) / 3
+    assert nstr(a, 6) == "0.666667"
+    assert nstr(a, TRUSTED_DIGITS) == "0.666666666666666666666666666667"
 
 
 # --------------------------------------------------- constants assembly
 
 def test_bundle_c0_value_and_invariants():
     k = default_constants()
-    assert k.c1.value == k.zeta2.value
+    assert k.c1 == k.zeta2
     assert -1.622 < float(k.c0) < -1.620
-    for field in (k.zeta2, k.gamma, k.theta, k.c1, k.c0):
-        assert field.precision >= 25
+    assert TRUSTED_DIGITS >= 25
     rebuilt = (2 * k.gamma - 1) * k.zeta2 - 2 * k.theta
-    assert abs(rebuilt.value - k.c0.value) < mpf("1e-30")
+    assert abs(rebuilt - k.c0) < mpf("1e-30")
 
 
 def test_bundle_rejects_inconsistent_c0():
@@ -224,14 +206,6 @@ def test_bundle_rejects_mismatched_c1():
     with pytest.raises(ValueError):
         AsymptoticConstants(zeta2=k.zeta2, gamma=k.gamma, theta=k.theta,
                             c1=k.gamma, c0=k.c0)
-
-
-def test_bundle_rejects_low_precision():
-    k = default_constants()
-    weak = HighPrecisionReal(k.theta.value, 10)
-    with pytest.raises(ValueError):
-        AsymptoticConstants(zeta2=k.zeta2, gamma=k.gamma, theta=weak,
-                            c1=k.zeta2, c0=k.c0)
 
 
 def test_default_constants_is_cached():

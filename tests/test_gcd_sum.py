@@ -15,7 +15,7 @@ from gcdsum import (
     sieve_tau,
     tau,
 )
-from gcdsum.arith import DEFAULT_SIEVE_CAP
+from gcdsum.arith import DEFAULT_SIEVE_CAP, sieve_cap
 from gcdsum.gcd_sum import TABLE_CAP, table_limit
 from oracles import common_divisors, s_by_pair_enumeration
 
@@ -62,11 +62,30 @@ def test_three_way_agreement_random():
         assert s_brute(n) == s_lemma1(n) == s_identity(n)
 
 
+def _split_on_square(d):
+    """The N = d^2 * (L + 1) with L = table_limit(N): d is the last large-x term.
+
+    table_limit(d^2 * (L + 1)) is nondecreasing in L and bounded, so
+    iterating it from L = 1 stops at a fixed point.
+    """
+    cap, limit = sieve_cap(), 1
+    while (nxt := table_limit(d * d * (limit + 1), cap)) != limit:
+        limit = nxt
+    return d * d * (limit + 1), limit
+
+
 def test_identity_at_perfect_squares():
     for k in range(1, 401):
         for n in (k * k - 1, k * k, k * k + 1):
             if n >= 1:
                 assert s_identity(n) == s_lemma1(n), n
+    # d^2 | N: floor(N / d^2) is exact, with no rounding to absorb an off-by-one
+    for d in range(2, 61):
+        for m in (1, 2, 3, 5, 7, 11):
+            assert s_identity(m * d * d) == s_lemma1(m * d * d), (m, d)
+        n, limit = _split_on_square(d)
+        assert isqrt(n // (limit + 1)) == d  # d0 = d + 1
+        assert s_identity(n) == s_lemma1(n), n
 
 
 def _split_quotient(n):

@@ -17,7 +17,7 @@ import time
 
 from .asymptotics import ScanSpec, Spacing, error_scan, main_term
 from .constants import _CTX, TRUSTED_DIGITS, default_constants
-from .gcd_sum import Algorithm, s_exact
+from .gcd_sum import Algorithm, s_exact, s_upto
 from .report import write_csv, write_svg
 
 _ALGORITHMS = {a.value: a for a in Algorithm}
@@ -71,15 +71,16 @@ def _cmd_scan(args) -> int:
 def _cmd_verify(args) -> int:
     if args.max < 1:
         raise ValueError("--max must be >= 1")
+    oracle = s_upto(args.max)
     agree = 0
     for n in range(1, args.max + 1):
-        b = s_exact(n, Algorithm.BRUTE)
+        o = int(oracle[n])
         l = s_exact(n, Algorithm.LEMMA1_LATTICE)
         i = s_exact(n, Algorithm.IDENTITY_SUMMATORY)
-        if b == l == i:
+        if o == l == i:
             agree += 1
         else:
-            print(f"MISMATCH at N={n}: brute={b} lemma1={l} identity={i}",
+            print(f"MISMATCH at N={n}: oracle={o} lemma1={l} identity={i}",
                   file=sys.stderr)
     print(f"3-way agreement: {agree}/{args.max}")
     return 0 if agree == args.max else 1

@@ -28,13 +28,18 @@ identity  folds the same inner count into the divisor summatory function,
 
 All three agree exactly wherever they are all defined; the test suite
 leans hard on that three-way agreement.
+
+s_upto is the oracle that `gcdsum verify` checks lemma1 and identity
+against.  It shares no hyperbola or divisor-table code with them: the
+summand f(n) = sum_{a*b = n} tau(gcd(a, b)) is multiplicative, so one
+prime sieve gives f(1..m) and a running sum gives S(0..m).
 """
 
 import enum
 
 import numpy as np
 
-from .arith import check_natural, isqrt, sieve_cap, sieve_tau
+from .arith import SIEVE_CAP_ENV, check_natural, isqrt, sieve_cap, sieve_tau
 from .summatory import CHUNK, divisor_summatory, lattice_count
 
 DEFAULT_BRUTE_CAP = 10**7
@@ -106,6 +111,44 @@ def s_identity(n: int) -> int:
         d = np.arange(lo, min(lo + CHUNK, end), dtype=np.int64)
         total += int(prefix[n // (d * d)].sum())
     return total
+
+
+def s_upto(m: int) -> np.ndarray:
+    """S(0), S(1), ..., S(m) as one read-only int64 array, in O(m log log m).
+
+    Starts from f = 1 and, for each prime power q = p^k <= m, replaces the
+    factor f(p^(k-1)) of every multiple of q by f(p^k); the division is
+    exact because that factor was put there at p^(k-1).  Refuses m above
+    the sieve cap, as sieve_tau does.
+    """
+    check_natural(m, "m")
+    if m < 1:
+        raise ValueError("s_upto needs m >= 1")
+    cap = sieve_cap()
+    if m > cap:
+        raise ValueError(
+            f"s_upto({m}) exceeds the sieve cap of {cap} entries "
+            f"(override with {SIEVE_CAP_ENV})"
+        )
+    is_prime = np.ones(m + 1, dtype=bool)
+    is_prime[:2] = False
+    for p in range(2, isqrt(m) + 1):
+        if is_prime[p]:
+            is_prime[p * p::p] = False
+    # g[k] = f(p^k): the pair (p^a, p^(k-a)) has gcd p^min(a, k-a)
+    g = [sum(min(a, k - a) + 1 for a in range(k + 1)) for k in range(m.bit_length())]
+    f = np.ones(m + 1, dtype=np.int64)
+    f[0] = 0
+    for p in np.flatnonzero(is_prime).tolist():
+        q, k = p, 1
+        while q <= m:
+            multiples = f[q::q]
+            multiples //= g[k - 1]
+            multiples *= g[k]
+            q, k = q * p, k + 1
+    s = np.cumsum(f)
+    s.flags.writeable = False
+    return s
 
 
 def s_exact(n: int, algorithm: Algorithm = Algorithm.IDENTITY_SUMMATORY) -> int:

@@ -20,6 +20,12 @@ cross-validate each other.
 
 Boundary convention: points on the hyperbola r*s = x are included,
 points on either axis are not.
+
+Domain: D(x) = sum_{k<=x} floor(x/k) <= x * H(x) <= x * (1 + ln x), and
+MAX_X is the largest x for which that bound is at most 2^63 - 1.  Both
+routines refuse a larger argument before their O(sqrt x) loop starts; at
+x = 2^63 - 1 that loop would run about 3 * 10^9 steps before the result
+check could fail.
 """
 
 import numpy as np
@@ -27,6 +33,16 @@ import numpy as np
 from .arith import MAX_NATURAL, check_natural, isqrt
 
 CHUNK = 2**14
+MAX_X = 225_203_186_528_917_274
+
+
+def _check_domain(x: int, name: str) -> None:
+    check_natural(x, name)
+    if x > MAX_X:
+        raise OverflowError(
+            f"{name}={x} exceeds MAX_X = {MAX_X}, the largest x with "
+            f"x * (1 + ln x) <= 2^63 - 1"
+        )
 
 
 def floor_sum(x: int, r: int) -> int:
@@ -41,7 +57,7 @@ def floor_sum(x: int, r: int) -> int:
 
 def divisor_summatory(x: int) -> int:
     """Exact D(x) = sum_{n<=x} tau(n) via the folded hyperbola identity."""
-    check_natural(x, "x")
+    _check_domain(x, "x")
     r = isqrt(x)
     total = 2 * floor_sum(x, r) - r * r
     if total > MAX_NATURAL:
@@ -56,7 +72,7 @@ def lattice_count(m: int) -> int:
     [r, m // q] contributes the same q points, so each block is settled
     with one multiplication.
     """
-    check_natural(m, "m")
+    _check_domain(m, "m")
     total = 0
     r = 1
     while r <= m:

@@ -3,6 +3,7 @@ import sys
 
 import pytest
 
+import gcdsum.gcd_sum
 from gcdsum import s_identity
 from gcdsum.cli import run
 
@@ -102,6 +103,37 @@ def test_verify(capsys):
 
 def test_verify_rejects_zero(capsys):
     assert run(["verify", "--max", "0"]) == 1
+
+
+def test_verify_refuses_max_past_sieve_cap_before_any_n(monkeypatch, capsys):
+    def no_call(n):
+        raise AssertionError(f"evaluated N={n}")
+
+    monkeypatch.setenv("GCDSUM_SIEVE_CAP", "1000")
+    monkeypatch.setattr(gcdsum.gcd_sum, "s_lemma1", no_call)
+    monkeypatch.setattr(gcdsum.gcd_sum, "s_identity", no_call)
+    assert run(["verify", "--max", "1001"]) == 1
+    captured = capsys.readouterr()
+    assert "GCDSUM_SIEVE_CAP" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("name", ["s_lemma1", "s_identity"])
+def test_verify_catches_an_evaluator_off_by_one(monkeypatch, capsys, name):
+    evaluator = getattr(gcdsum.gcd_sum, name)
+    monkeypatch.setattr(gcdsum.gcd_sum, name, lambda n: evaluator(n) + (n == 97))
+    assert run(["verify", "--max", "500"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("MISMATCH at N=97: oracle=")
+    assert captured.err.count("\n") == 1
+    assert "3-way agreement: 499/500" in captured.out
+
+
+@pytest.mark.parametrize("alg", ["identity", "lemma1"])
+def test_exact_refuses_the_largest_natural_at_once(capsys, deadline, alg):
+    with deadline(1.0):
+        assert run(["exact", str(2**63 - 1), "--alg", alg]) == 1
+    assert "MAX_X" in capsys.readouterr().err
 
 
 def test_usage_errors(capsys):

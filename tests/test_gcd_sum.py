@@ -1,6 +1,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 from gcdsum import (
@@ -16,7 +17,7 @@ from gcdsum import (
     tau,
 )
 from gcdsum.arith import DEFAULT_SIEVE_CAP, sieve_cap
-from gcdsum.gcd_sum import TABLE_CAP, table_limit
+from gcdsum.gcd_sum import TABLE_CAP, s_upto, table_limit
 from oracles import common_divisors, s_by_pair_enumeration
 
 
@@ -60,6 +61,39 @@ def test_three_way_agreement_random():
     for _ in range(10):
         n = rng.randrange(1, 10**5)
         assert s_brute(n) == s_lemma1(n) == s_identity(n)
+
+
+def test_s_upto_matches_pair_enumeration():
+    table = s_upto(120)
+    assert [int(v) for v in table] == [0] + [s_by_pair_enumeration(n) for n in range(1, 121)]
+
+
+def test_s_upto_matches_brute():
+    table = s_upto(2000)
+    for n in range(1, 2001):
+        assert table[n] == s_brute(n), n
+
+
+def test_s_upto_matches_identity():
+    table = s_upto(20000)
+    for n in range(1, 20001):
+        assert table[n] == s_identity(n), n
+
+
+def test_s_upto_is_read_only():
+    table = s_upto(10)
+    assert table.dtype == np.int64 and len(table) == 11
+    with pytest.raises(ValueError):
+        table[5] = 0
+
+
+def test_s_upto_refusals(monkeypatch):
+    with pytest.raises(ValueError):
+        s_upto(0)
+    monkeypatch.setenv("GCDSUM_SIEVE_CAP", "1000")
+    assert s_upto(1000)[1000] == s_identity(1000)
+    with pytest.raises(ValueError, match="GCDSUM_SIEVE_CAP"):
+        s_upto(1001)
 
 
 def _split_on_square(d):

@@ -1,9 +1,11 @@
 import random
 
+import mpmath
 import pytest
 
 from gcdsum import divisor_summatory, lattice_count, sieve_tau
-from gcdsum.summatory import CHUNK, floor_sum
+from gcdsum.arith import MAX_NATURAL
+from gcdsum.summatory import CHUNK, MAX_X, floor_sum
 from oracles import lattice_by_enumeration, tau_by_enumeration
 
 
@@ -57,6 +59,24 @@ def test_boundary_points_on_hyperbola_count():
     for m in (6, 12, 36):
         gained = lattice_count(m) - lattice_count(m - 1)
         assert gained == tau_by_enumeration(m)
+
+
+def test_max_x_is_the_largest_x_whose_bound_fits():
+    ctx = mpmath.MPContext()
+    ctx.dps = 60
+
+    def bound(x):
+        return x * (1 + ctx.log(x))
+
+    assert bound(MAX_X) <= MAX_NATURAL < bound(MAX_X + 1)
+    assert 10**16 < MAX_X
+
+
+@pytest.mark.parametrize("fn", [divisor_summatory, lattice_count])
+def test_arguments_past_max_x_are_refused_before_the_loop(deadline, fn):
+    for x in (MAX_X + 1, MAX_NATURAL):
+        with deadline(1.0), pytest.raises(OverflowError, match="MAX_X"):
+            fn(x)
 
 
 def test_magnitude_contract_on_inputs():

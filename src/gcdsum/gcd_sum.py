@@ -16,15 +16,19 @@ identity  folds the same inner count into the divisor summatory function,
 
               S(N) = sum_{d <= sqrt(N)} D(floor(N / d^2)),
 
-          the production evaluator.  It splits the d at a table limit
-          L = round(N^(2/3) / 4), held to [1, min(TABLE_CAP, sieve cap)]:
-          with d0 = isqrt(N // (L + 1)) + 1, every d >= d0 has
+          the production evaluator.  It splits the d at one table limit
+          per process, L = min(TABLE_CAP, sieve cap): with
+          d0 = isqrt(N // (L + 1)) + 1, every d >= d0 has
           floor(N / d^2) <= L.  Those many small terms are read from one
           divisor table of L entries by a numpy gather, CHUNK values of d
           at a time; the d0 - 1 large terms each call divisor_summatory.
+          For N <= L, d0 = 1 and S(N) is a single gather of sqrt(N)
+          entries.  The table is built on the first call for each L and
+          kept for the life of the process, so a lowered sieve cap picks
+          its own table; every later call only reads it.
           About sqrt(N) log(d0) numpy floor-sum steps plus sqrt(N) gathers
-          and an O(L log L) sieve.  Any L >= 1 gives the same integer;
-          L only moves the cost between the two halves.
+          per call.  Any L >= 1 gives the same integer; L only moves the
+          cost between the two halves.
 
 All three agree exactly wherever they are all defined; the test suite
 leans hard on that three-way agreement.
@@ -36,6 +40,7 @@ prime sieve gives f(1..m) and a running sum gives S(0..m).
 """
 
 import enum
+import functools
 
 import numpy as np
 
@@ -89,23 +94,28 @@ def s_lemma1(n: int) -> int:
     return sum(lattice_count(n // (d * d)) for d in range(1, isqrt(n) + 1))
 
 
-def table_limit(n: int, cap: int) -> int:
-    """Divisor-table size for s_identity(n): round(n^(2/3) / 4) in [1, min(TABLE_CAP, cap)]."""
-    return max(1, min(round(n ** (2 / 3) / 4), TABLE_CAP, cap))
+@functools.lru_cache(maxsize=4)
+def _table_prefix(limit: int) -> np.ndarray:
+    """The read-only prefix sums of tau up to limit, built once per limit.
+
+    sieve_tau is looked up as a module global at call time, so a wrapper
+    bound on this module sees the build; the tau array is dropped.  The
+    caller holds limit to the sieve cap, so limit itself is the cap here.
+    """
+    return sieve_tau(limit, limit).prefix
 
 
 def s_identity(n: int) -> int:
     """S(N) as a sum of divisor summatory values; the production path.
 
-    The d with floor(N / d^2) above the table limit call divisor_summatory;
-    the rest are gathered from the table's prefix sums.
+    The d with floor(N / d^2) above L = min(TABLE_CAP, sieve cap) call
+    divisor_summatory; the rest are gathered from the table's prefix sums.
     """
     _check_positive(n)
-    cap = sieve_cap()
-    limit = table_limit(n, cap)
+    limit = min(TABLE_CAP, sieve_cap())
     d0 = isqrt(n // (limit + 1)) + 1
     total = sum(divisor_summatory(n // (d * d)) for d in range(1, d0))
-    prefix = sieve_tau(limit, cap).prefix
+    prefix = _table_prefix(limit)
     end = isqrt(n) + 1
     for lo in range(d0, end, CHUNK):
         d = np.arange(lo, min(lo + CHUNK, end), dtype=np.int64)

@@ -1,5 +1,7 @@
 import math
 import random
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -16,8 +18,9 @@ from gcdsum import (
     sieve_tau,
     tau,
 )
-from gcdsum.arith import DEFAULT_SIEVE_CAP, sieve_cap
-from gcdsum.gcd_sum import TABLE_CAP, s_upto, table_limit
+from gcdsum import gcd_sum
+from gcdsum.arith import DEFAULT_SIEVE_CAP
+from gcdsum.gcd_sum import TABLE_CAP, s_upto
 from oracles import common_divisors, s_by_pair_enumeration
 
 
@@ -96,16 +99,64 @@ def test_s_upto_refusals(monkeypatch):
         s_upto(1001)
 
 
-def _split_on_square(d):
-    """The N = d^2 * (L + 1) with L = table_limit(N): d is the last large-x term.
+@pytest.fixture
+def cold_table():
+    """Empty s_identity's table cache before and after the test."""
+    gcd_sum._table_prefix.cache_clear()
+    yield
+    gcd_sum._table_prefix.cache_clear()
 
-    table_limit(d^2 * (L + 1)) is nondecreasing in L and bounded, so
-    iterating it from L = 1 stops at a fixed point.
-    """
-    cap, limit = sieve_cap(), 1
-    while (nxt := table_limit(d * d * (limit + 1), cap)) != limit:
-        limit = nxt
-    return d * d * (limit + 1), limit
+
+@pytest.fixture
+def traced_identity(monkeypatch):
+    """traced_identity(n) -> (s_identity(n), the x it passed to divisor_summatory)."""
+    seen = []
+
+    def record(x):
+        seen.append(x)
+        return divisor_summatory(x)
+
+    monkeypatch.setattr(gcd_sum, "divisor_summatory", record)
+
+    def run(n):
+        seen.clear()
+        return s_identity(n), list(seen)
+
+    return run
+
+
+@pytest.fixture
+def table_builds(monkeypatch, cold_table):
+    """The limits of the divisor tables built from here on, in order."""
+    limits = []
+
+    def counting(limit, *args, **kwargs):
+        limits.append(limit)
+        return sieve_tau(limit, *args, **kwargs)
+
+    monkeypatch.setattr(gcd_sum, "sieve_tau", counting)
+    return limits
+
+
+def _set_cap(monkeypatch, cap):
+    """Set GCDSUM_SIEVE_CAP, or unset it for None; returns s_identity's table limit."""
+    if cap is None:
+        monkeypatch.delenv("GCDSUM_SIEVE_CAP", raising=False)
+    else:
+        monkeypatch.setenv("GCDSUM_SIEVE_CAP", cap)
+    return min(TABLE_CAP, int(cap or DEFAULT_SIEVE_CAP))
+
+
+def _large_terms(n, limit):
+    """The x = floor(n / d^2) above the table limit, in order of d."""
+    return [n // (d * d) for d in range(1, isqrt(n) + 1) if n // (d * d) > limit]
+
+
+def _check_split(traced_identity, n, limit):
+    value, large = traced_identity(n)
+    assert value == s_lemma1(n), n
+    assert large == _large_terms(n, limit), n
+    return len(large)
 
 
 def test_identity_at_perfect_squares():
@@ -117,41 +168,98 @@ def test_identity_at_perfect_squares():
     for d in range(2, 61):
         for m in (1, 2, 3, 5, 7, 11):
             assert s_identity(m * d * d) == s_lemma1(m * d * d), (m, d)
-        n, limit = _split_on_square(d)
-        assert isqrt(n // (limit + 1)) == d  # d0 = d + 1
-        assert s_identity(n) == s_lemma1(n), n
 
 
-def _split_quotient(n):
-    """n // (L + 1): s_identity reads every d > isqrt of it from its table."""
-    return n // (table_limit(n, DEFAULT_SIEVE_CAP) + 1)
+@pytest.mark.parametrize(("cap", "ds"), [("100", range(2, 61)), (None, range(2, 9))],
+                         ids=["cap100", "default_cap"])
+def test_identity_split_on_a_square(monkeypatch, traced_identity, cap, ds):
+    # N = d^2 (L + 1): floor(N / d^2) = L + 1 exactly, so d is the last large term
+    limit = _set_cap(monkeypatch, cap)
+    for d in ds:
+        n = d * d * (limit + 1)
+        assert _large_terms(n, limit)[-1] == limit + 1
+        assert _check_split(traced_identity, n, limit) == d, d
 
 
-def test_identity_where_split_point_moves():
-    split = [0] + [isqrt(_split_quotient(n)) + 1 for n in range(1, 200_001)]
+def test_identity_where_split_point_moves(monkeypatch, traced_identity):
+    limit = _set_cap(monkeypatch, "1000")
+    split = [isqrt(n // (limit + 1)) + 1 for n in range(200_001)]
     moves = [n for n in range(2, 200_001) if split[n] != split[n - 1]]
-    up = [n for n in moves if split[n] > split[n - 1]]
-    assert len(up) >= 10
-    for n in up:
-        # the split moves up where n // (L + 1) reaches a perfect square
-        assert isqrt(_split_quotient(n)) ** 2 == _split_quotient(n)
-    for n in moves:
-        for m in (n - 1, n, n + 1):
-            assert s_identity(m) == s_lemma1(m), m
+    assert len(moves) >= 10
+    # the split moves up by one where n // (L + 1) reaches a perfect square
+    assert moves == [k * k * (limit + 1) for k in range(1, len(moves) + 1)]
+    for k, n in enumerate(moves, start=1):
+        counts = [_check_split(traced_identity, m, limit) for m in (n - 1, n, n + 1)]
+        assert counts == [k - 1, k, k], n
+    # at the default cap, L = 2^17 and the moves are at k^2 (2^17 + 1)
+    _set_cap(monkeypatch, None)
+    for k in range(1, 13):
+        n = k * k * (TABLE_CAP + 1)
+        counts = [_check_split(traced_identity, m, TABLE_CAP) for m in (n - 1, n, n + 1)]
+        assert counts == [k - 1, k, k], n
 
 
-def test_identity_where_table_limit_reaches_its_cap():
-    lo, hi = 1, 10**10
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if table_limit(mid, DEFAULT_SIEVE_CAP) < TABLE_CAP:
-            lo = mid + 1
-        else:
-            hi = mid
-    assert 3.7e8 < lo < 3.9e8
-    assert table_limit(lo - 1, DEFAULT_SIEVE_CAP) < TABLE_CAP
-    for n in (lo - 1, lo, lo + 1):
+@pytest.mark.parametrize("cap", ["1000", None])
+def test_identity_where_the_first_term_leaves_the_table(monkeypatch, traced_identity, cap):
+    limit = _set_cap(monkeypatch, cap)
+    # N <= L is one gather; from L + 1 on, d = 1 calls divisor_summatory
+    for n, expected in ((limit - 1, []), (limit, []), (limit + 1, [limit + 1]),
+                        (limit + 2, [limit + 2])):
+        assert traced_identity(n) == (s_lemma1(n), expected), n
+
+
+def test_identity_builds_one_table_per_process(table_builds, monkeypatch):
+    _set_cap(monkeypatch, None)
+    for n in range(1, 3001):
         assert s_identity(n) == s_lemma1(n), n
+    assert s_identity(10**12) == 43830142939380
+    assert table_builds == [TABLE_CAP]
+    assert len(gcd_sum._table_prefix(TABLE_CAP)) == TABLE_CAP + 1
+
+
+def test_identity_table_follows_the_sieve_cap(table_builds, monkeypatch):
+    expected = {n: s_lemma1(n) for n in (999, 10**6, 10**9 + 7)}
+    for cap in ("10", "1000", None):
+        _set_cap(monkeypatch, cap)
+        for n, value in expected.items():
+            assert s_identity(n) == value, (cap, n)
+    # the cap bounds the table's memory: each cap gets a table of its own size
+    assert table_builds == [10, 1000, TABLE_CAP]
+
+
+def test_identity_table_is_read_only(cold_table, monkeypatch):
+    _set_cap(monkeypatch, None)
+    s_identity(10)
+    prefix = gcd_sum._table_prefix(TABLE_CAP)
+    assert not prefix.flags.writeable
+    with pytest.raises(ValueError):
+        prefix[5] = 0
+
+
+def test_identity_threads_on_a_cold_table(cold_table):
+    ns = list(range(1, 2001)) + [10**6 + k for k in range(40)] + [10**10 + 1]
+    serial = [s_identity(n) for n in ns]
+    gcd_sum._table_prefix.cache_clear()
+    results = [None] * len(ns)
+    start = threading.Barrier(4)
+
+    def work(i):
+        start.wait()
+        for j in range(i, len(ns), 4):
+            results[j] = s_identity(ns[j])
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert results == serial
 
 
 def test_identity_under_a_lowered_sieve_cap(monkeypatch):

@@ -5,7 +5,7 @@ asymptotic main term zeta(2)*N*log(N) + ((2*gamma - 1)*zeta(2) - 2*theta)*N,
 and scan tooling that exhibits the O(sqrt(N)) error empirically.
 """
 
-from .arith import DivisorTable, isqrt, sieve_tau, tau
+from .arith import DivisorTable, isqrt, sieve_tau
 from .asymptotics import (
     ErrorRecord,
     ScanSpec,
@@ -51,7 +51,6 @@ __all__ = [
     "s_identity",
     "s_lemma1",
     "sieve_tau",
-    "tau",
     "theta",
     "write_csv",
     "write_svg",

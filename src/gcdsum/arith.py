@@ -1,4 +1,4 @@
-"""Exact integer primitives: floor square root, divisor counting, divisor sieve.
+"""Exact integer primitives: floor square root and the divisor sieve.
 
 Everything downstream assumes these are exact.  Python integers never wrap,
 so the only overflow concern is the advertised 64-bit magnitude contract on
@@ -36,25 +36,6 @@ def isqrt(n: int) -> int:
     """
     check_natural(n)
     return math.isqrt(n)
-
-
-def tau(n: int) -> int:
-    """Number of positive divisors of n, by trial division up to sqrt(n).
-
-    Each d <= sqrt(n) dividing n pairs with n // d; a square root counts once.
-    """
-    check_natural(n)
-    if n == 0:
-        raise ValueError("tau(0) is undefined")
-    count = 0
-    d = 1
-    while d * d < n:
-        if n % d == 0:
-            count += 2
-        d += 1
-    if d * d == n:
-        count += 1
-    return count
 
 
 @dataclass(frozen=True)

@@ -41,11 +41,18 @@ prime sieve gives f(1..m) and a running sum gives S(0..m).
 
 import enum
 import functools
+import math
+import threading
 
 import numpy as np
 
 from .arith import SIEVE_CAP_ENV, check_natural, isqrt, sieve_cap, sieve_tau
-from .summatory import CHUNK, divisor_summatory, lattice_count
+from .summatory import CHUNK, _check_domain
+
+# lemma1 and identity check N once and then call the unchecked kernels.  They
+# are bound under the public names, so a wrapper on this module sees each call.
+from .summatory import _divisor_summatory as divisor_summatory
+from .summatory import _lattice_count as lattice_count
 
 DEFAULT_BRUTE_CAP = 10**7
 TABLE_CAP = 2**17
@@ -64,6 +71,12 @@ def _check_positive(n: int) -> int:
     if n == 0:
         raise ValueError("S(N) requires N >= 1")
     return n
+
+
+def _check_summable(n: int) -> None:
+    """1 <= N <= MAX_X, so that every floor(N / d^2) is in the kernels' domain."""
+    _check_positive(n)
+    _check_domain(n, "N")
 
 
 def s_brute(n: int, cap: int = DEFAULT_BRUTE_CAP) -> int:
@@ -90,13 +103,26 @@ def s_brute(n: int, cap: int = DEFAULT_BRUTE_CAP) -> int:
 
 def s_lemma1(n: int) -> int:
     """S(N) as a sum of hyperbola lattice counts, one per d <= sqrt(N)."""
-    _check_positive(n)
-    return sum(lattice_count(n // (d * d)) for d in range(1, isqrt(n) + 1))
+    _check_summable(n)
+    return sum(lattice_count(n // (d * d)) for d in range(1, math.isqrt(n) + 1))
+
+
+_TABLE_LOCK = threading.Lock()
+
+
+def _table_prefix(limit: int) -> np.ndarray:
+    """The read-only prefix sums of tau up to limit, built once per limit.
+
+    The lock makes threads that start on a cold cache wait for one build
+    instead of each building its own.
+    """
+    with _TABLE_LOCK:
+        return _build_table_prefix(limit)
 
 
 @functools.lru_cache(maxsize=4)
-def _table_prefix(limit: int) -> np.ndarray:
-    """The read-only prefix sums of tau up to limit, built once per limit.
+def _build_table_prefix(limit: int) -> np.ndarray:
+    """sieve_tau(limit).prefix; call it through _table_prefix.
 
     sieve_tau is looked up as a module global at call time, so a wrapper
     bound on this module sees the build; the tau array is dropped.  The
@@ -111,12 +137,12 @@ def s_identity(n: int) -> int:
     The d with floor(N / d^2) above L = min(TABLE_CAP, sieve cap) call
     divisor_summatory; the rest are gathered from the table's prefix sums.
     """
-    _check_positive(n)
+    _check_summable(n)
     limit = min(TABLE_CAP, sieve_cap())
-    d0 = isqrt(n // (limit + 1)) + 1
+    d0 = math.isqrt(n // (limit + 1)) + 1
     total = sum(divisor_summatory(n // (d * d)) for d in range(1, d0))
     prefix = _table_prefix(limit)
-    end = isqrt(n) + 1
+    end = math.isqrt(n) + 1
     for lo in range(d0, end, CHUNK):
         d = np.arange(lo, min(lo + CHUNK, end), dtype=np.int64)
         total += int(prefix[n // (d * d)].sum())

@@ -25,12 +25,16 @@ Domain: D(x) = sum_{k<=x} floor(x/k) <= x * H(x) <= x * (1 + ln x), and
 MAX_X is the largest x for which that bound is at most 2^63 - 1.  Both
 routines refuse a larger argument before their O(sqrt x) loop starts; at
 x = 2^63 - 1 that loop would run about 3 * 10^9 steps before the result
-check could fail.
+check could fail.  _divisor_summatory and _lattice_count are the same
+routines without that argument check, for the S(N) evaluators: they check
+N once, and every floor(N / d^2) they pass on is then in the domain.
 """
+
+import math
 
 import numpy as np
 
-from .arith import MAX_NATURAL, check_natural, isqrt
+from .arith import MAX_NATURAL, check_natural
 
 CHUNK = 2**14
 MAX_X = 225_203_186_528_917_274
@@ -58,7 +62,11 @@ def floor_sum(x: int, r: int) -> int:
 def divisor_summatory(x: int) -> int:
     """Exact D(x) = sum_{n<=x} tau(n) via the folded hyperbola identity."""
     _check_domain(x, "x")
-    r = isqrt(x)
+    return _divisor_summatory(x)
+
+
+def _divisor_summatory(x: int) -> int:
+    r = math.isqrt(x)
     total = 2 * floor_sum(x, r) - r * r
     if total > MAX_NATURAL:
         raise OverflowError(f"divisor_summatory({x}) exceeds the 2^63 - 1 contract")
@@ -73,6 +81,10 @@ def lattice_count(m: int) -> int:
     with one multiplication.
     """
     _check_domain(m, "m")
+    return _lattice_count(m)
+
+
+def _lattice_count(m: int) -> int:
     total = 0
     r = 1
     while r <= m:

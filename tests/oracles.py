@@ -1,7 +1,7 @@
 """Brute-force reference implementations the tests check against.
 
-Everything here is deliberately naive: full divisor enumeration, full
-pair enumeration.  None of it shares code with the package.
+Everything here is deliberately naive: full divisor enumeration, trial
+division, full pair enumeration.  None of it shares code with the package.
 """
 
 import math
@@ -10,6 +10,24 @@ import math
 def tau_by_enumeration(n: int) -> int:
     """Divisor count by checking every candidate up to n."""
     return sum(1 for d in range(1, n + 1) if n % d == 0)
+
+
+def tau_by_trial_division(n: int) -> int:
+    """Number of positive divisors of n, by trial division up to sqrt(n).
+
+    Each d <= sqrt(n) dividing n pairs with n // d; a square root counts once.
+    """
+    if n < 1:
+        raise ValueError(f"tau({n}) is undefined")
+    count = 0
+    d = 1
+    while d * d < n:
+        if n % d == 0:
+            count += 2
+        d += 1
+    if d * d == n:
+        count += 1
+    return count
 
 
 def lattice_by_enumeration(m: int) -> int:

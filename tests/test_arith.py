@@ -4,9 +4,10 @@ import random
 import numpy as np
 import pytest
 
-from gcdsum import isqrt, sieve_tau, tau
+from gcdsum import isqrt, sieve_tau
 from gcdsum.arith import sieve_cap
 from oracles import tau_by_enumeration
+from oracles import tau_by_trial_division as tau
 
 
 def test_isqrt_examples():

@@ -3,8 +3,10 @@ import sys
 
 import pytest
 
+import gcdsum.asymptotics
+import gcdsum.cli
 import gcdsum.gcd_sum
-from gcdsum import s_identity
+from gcdsum import error_at, s_identity, write_csv
 from gcdsum.cli import run
 
 
@@ -134,6 +136,21 @@ def test_exact_refuses_the_largest_natural_at_once(capsys, deadline, alg):
     with deadline(1.0):
         assert run(["exact", str(2**63 - 1), "--alg", alg]) == 1
     assert "MAX_X" in capsys.readouterr().err
+
+
+def test_results_past_2_63_stay_exact_ints(monkeypatch, tmp_path, capsys):
+    # S(N) passes 2^63 - 1 near N = 1.455e17, inside the domain
+    big = 2**63 + 5
+    n = 146 * 10**15
+    for module in (gcdsum.asymptotics, gcdsum.cli):
+        monkeypatch.setattr(module, "s_exact", lambda n, algorithm=None: big)
+    record = error_at(n)
+    assert type(record.s_exact) is int and record.s_exact == big
+    path = tmp_path / "big.csv"
+    write_csv([record], path)
+    assert path.read_text(encoding="ascii").splitlines()[1].split(",")[:2] == [str(n), str(big)]
+    assert run(["exact", str(n)]) == 0
+    assert f"S({n}) = {big}\n" in capsys.readouterr().out
 
 
 def test_usage_errors(capsys):

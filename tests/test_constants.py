@@ -1,6 +1,8 @@
+import mpmath
 import pytest
 from mpmath import mp, mpf, nstr
 
+from gcdsum import constants
 from gcdsum import (
     AsymptoticConstants,
     default_constants,
@@ -192,6 +194,33 @@ def test_bundle_c0_value_and_invariants():
     assert TRUSTED_DIGITS >= 25
     rebuilt = (2 * k.gamma - 1) * k.zeta2 - 2 * k.theta
     assert abs(rebuilt - k.c0) < mpf("1e-30")
+
+
+def test_bundle_against_60_digit_references():
+    # mpmath's own euler and zeta'(2), in a context of our own at 60 digits
+    ctx = mpmath.MPContext()
+    ctx.dps = 60
+    gamma, theta_ref = ctx.euler, -ctx.zeta(2, derivative=1)
+    c0 = (2 * gamma - 1) * ctx.pi**2 / 6 - 2 * theta_ref
+    k = default_constants()
+    for value, ref in ((k.gamma, gamma), (k.theta, theta_ref), (k.c0, c0)):
+        assert abs(ctx.mpf(value) - ref) < ctx.mpf("1e-35")
+
+
+def test_theta_head_stays_short(monkeypatch):
+    # theta sums log(d)/d^2 directly only up to the Euler-Maclaurin cutoff;
+    # a head of 10^4 terms would make 10^4 log calls
+    expected = theta()
+    calls = []
+    log = constants._CTX.log
+
+    def counting(x):
+        calls.append(x)
+        return log(x)
+
+    monkeypatch.setattr(constants._CTX, "log", counting)
+    assert theta.__wrapped__() == expected
+    assert len(calls) <= 200
 
 
 def test_bundle_rejects_inconsistent_c0():

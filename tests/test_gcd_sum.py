@@ -16,12 +16,13 @@ from gcdsum import (
     s_identity,
     s_lemma1,
     sieve_tau,
-    tau,
 )
-from gcdsum import gcd_sum
-from gcdsum.arith import DEFAULT_SIEVE_CAP
+from gcdsum import gcd_sum, summatory
+from gcdsum.arith import DEFAULT_SIEVE_CAP, MAX_NATURAL
 from gcdsum.gcd_sum import TABLE_CAP, s_upto
+from gcdsum.summatory import MAX_X
 from oracles import common_divisors, s_by_pair_enumeration
+from oracles import tau_by_trial_division as tau
 
 
 def test_examples_brute():
@@ -102,9 +103,9 @@ def test_s_upto_refusals(monkeypatch):
 @pytest.fixture
 def cold_table():
     """Empty s_identity's table cache before and after the test."""
-    gcd_sum._table_prefix.cache_clear()
+    gcd_sum._build_table_prefix.cache_clear()
     yield
-    gcd_sum._table_prefix.cache_clear()
+    gcd_sum._build_table_prefix.cache_clear()
 
 
 @pytest.fixture
@@ -236,30 +237,63 @@ def test_identity_table_is_read_only(cold_table, monkeypatch):
         prefix[5] = 0
 
 
-def test_identity_threads_on_a_cold_table(cold_table):
+def test_identity_threads_on_a_cold_table(table_builds, monkeypatch):
+    # each trial starts 4 threads on an empty cache: the lock must let
+    # exactly one of them build the table, and every result must match
+    _set_cap(monkeypatch, None)
     ns = list(range(1, 2001)) + [10**6 + k for k in range(40)] + [10**10 + 1]
     serial = [s_identity(n) for n in ns]
-    gcd_sum._table_prefix.cache_clear()
-    results = [None] * len(ns)
-    start = threading.Barrier(4)
-
-    def work(i):
-        start.wait()
-        for j in range(i, len(ns), 4):
-            results[j] = s_identity(ns[j])
-
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        threads = [threading.Thread(target=work, args=(i,)) for i in range(4)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=60)
+        for trial in range(10):
+            gcd_sum._build_table_prefix.cache_clear()
+            table_builds.clear()
+            results = [None] * len(ns)
+            start = threading.Barrier(4)
+
+            def work(i):
+                start.wait()
+                for j in range(i, len(ns), 4):
+                    results[j] = s_identity(ns[j])
+
+            threads = [threading.Thread(target=work, args=(i,)) for i in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+            assert not any(t.is_alive() for t in threads), trial
+            assert results == serial, trial
+            assert table_builds == [TABLE_CAP], trial
     finally:
         sys.setswitchinterval(interval)
-    assert not any(t.is_alive() for t in threads)
-    assert results == serial
+
+
+@pytest.mark.parametrize("evaluator", [s_lemma1, s_identity])
+def test_evaluators_refuse_past_max_x_up_front(monkeypatch, deadline, evaluator):
+    def never(x):
+        raise AssertionError(f"kernel called with {x}")
+
+    monkeypatch.setattr(gcd_sum, "divisor_summatory", never)
+    monkeypatch.setattr(gcd_sum, "lattice_count", never)
+    for n in (MAX_X + 1, MAX_NATURAL):
+        with deadline(1.0), pytest.raises(OverflowError, match="MAX_X"):
+            evaluator(n)
+
+
+def test_evaluators_check_n_once_not_every_term(monkeypatch):
+    # the per-term kernels skip the argument check that N already passed
+    checks = []
+    check = summatory._check_domain
+
+    def counting(x, name):
+        checks.append(x)
+        check(x, name)
+
+    monkeypatch.setattr(summatory, "_check_domain", counting)
+    assert s_lemma1(10**5) == s_identity(10**5) == s_upto(10**5)[10**5]
+    assert s_identity(10**12) == 43830142939380
+    assert checks == []
 
 
 def test_identity_under_a_lowered_sieve_cap(monkeypatch):

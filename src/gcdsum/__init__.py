@@ -5,7 +5,7 @@ asymptotic main term zeta(2)*N*log(N) + ((2*gamma - 1)*zeta(2) - 2*theta)*N,
 and scan tooling that exhibits the O(sqrt(N)) error empirically.
 """
 
-from .arith import DivisorTable, isqrt, sieve_tau
+from .arith import isqrt, sieve_tau
 from .asymptotics import (
     ErrorRecord,
     ScanSpec,
@@ -19,7 +19,6 @@ from .constants import (
     default_constants,
     euler_gamma,
     log_tail,
-    partial_zeta2,
     theta,
     zeta2,
 )
@@ -32,7 +31,6 @@ __version__ = "0.1.0"
 __all__ = [
     "Algorithm",
     "AsymptoticConstants",
-    "DivisorTable",
     "ErrorRecord",
     "ScanSpec",
     "Spacing",
@@ -45,7 +43,6 @@ __all__ = [
     "lattice_count",
     "log_tail",
     "main_term",
-    "partial_zeta2",
     "s_brute",
     "s_exact",
     "s_identity",

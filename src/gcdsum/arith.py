@@ -7,7 +7,6 @@ public arguments and results, enforced here.
 
 import math
 import os
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -38,21 +37,6 @@ def isqrt(n: int) -> int:
     return math.isqrt(n)
 
 
-@dataclass(frozen=True)
-class DivisorTable:
-    """tau values and their running sums for 1 <= n <= limit.
-
-    tau[n] is the divisor count of n (slot 0 is unused and holds 0);
-    prefix[x] = sum of tau[n] for n <= x, so prefix[0] = 0 and
-    prefix[x] - prefix[x-1] = tau[x].  Both arrays are int64 and frozen
-    read-only after construction, hence safe to share across threads.
-    """
-
-    limit: int
-    tau: np.ndarray
-    prefix: np.ndarray
-
-
 def sieve_cap() -> int:
     """Sieve entry cap; override with the GCDSUM_SIEVE_CAP env variable."""
     raw = os.environ.get(SIEVE_CAP_ENV)
@@ -67,21 +51,21 @@ def sieve_cap() -> int:
     return cap
 
 
-def sieve_tau(limit: int, cap: int | None = None) -> DivisorTable:
-    """Build the divisor table by marking divisor pairs from below the diagonal.
+def sieve_tau(limit: int) -> np.ndarray:
+    """tau(0..limit) as one read-only int64 array (slot 0 holds 0).
 
-    Each n has one divisor pair (d, n/d) with d <= n/d, that is n >= d*d:
-    it adds 2, or 1 when n = d*d.  So every d <= sqrt(limit) adds 2 to the
-    multiples of d from d*d on and takes 1 back at d*d.  That is
-    isqrt(limit) vectorized passes and O(limit log limit) element updates,
-    into two int64 arrays of limit + 1 entries (the default cap of 10^8
-    entries keeps them under ~1.6 GB).
+    Marks divisor pairs from below the diagonal.  Each n has one divisor
+    pair (d, n/d) with d <= n/d, that is n >= d*d: it adds 2, or 1 when
+    n = d*d.  So every d <= sqrt(limit) adds 2 to the multiples of d from
+    d*d on and takes 1 back at d*d.  That is isqrt(limit) vectorized
+    passes and O(limit log limit) element updates, into one int64 array
+    of limit + 1 entries (the default cap of 10^8 entries keeps it under
+    ~0.8 GB).  Read-only, hence safe to share across threads.
     """
     check_natural(limit, "limit")
     if limit < 1:
         raise ValueError("sieve limit must be >= 1")
-    if cap is None:
-        cap = sieve_cap()
+    cap = sieve_cap()
     if limit > cap:
         raise ValueError(
             f"sieve limit {limit} exceeds the cap of {cap} entries "
@@ -91,7 +75,5 @@ def sieve_tau(limit: int, cap: int | None = None) -> DivisorTable:
     for d in range(1, math.isqrt(limit) + 1):
         t[d * d::d] += 2
         t[d * d] -= 1
-    p = np.cumsum(t)
     t.flags.writeable = False
-    p.flags.writeable = False
-    return DivisorTable(limit=limit, tau=t, prefix=p)
+    return t

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from mpmath import mpf
 
 from .arith import check_natural
-from .constants import _CTX, AsymptoticConstants, default_constants
+from .constants import _CTX, default_constants
 from .gcd_sum import Algorithm, s_exact
 
 
@@ -43,6 +43,8 @@ class ScanSpec:
             )
         if self.points < 2:
             raise ValueError(f"scan needs at least 2 points, got {self.points}")
+        if not isinstance(self.spacing, Spacing):
+            raise TypeError(f"spacing must be a Spacing, got {self.spacing!r}")
 
     def grid(self) -> list[int]:
         """Strictly increasing integers; endpoints always included.
@@ -75,41 +77,38 @@ class ErrorRecord:
     elapsed: float
 
 
-def main_term(n: int, constants: AsymptoticConstants | None = None) -> mpf:
+def main_term(n: int) -> mpf:
     """A(N) = c1*N*log(N) + c0*N at working precision (natural log)."""
     check_natural(n)
     if n < 1:
         raise ValueError("main_term requires N >= 1")
-    k = constants if constants is not None else default_constants()
+    k = default_constants()
     return k.c1 * n * _CTX.log(n) + k.c0 * n
 
 
-def error_at(n: int, algorithm: Algorithm = Algorithm.IDENTITY_SUMMATORY,
-             constants: AsymptoticConstants | None = None) -> ErrorRecord:
+def error_at(n: int, algorithm: Algorithm = Algorithm.IDENTITY_SUMMATORY) -> ErrorRecord:
     """Evaluate S(N) exactly, subtract the main term, and record the row."""
-    k = constants if constants is not None else default_constants()
     start = time.perf_counter()
     s = s_exact(n, algorithm)
     elapsed = time.perf_counter() - start
-    a = main_term(n, k)
+    a = main_term(n)
     error = s - a
     normalized = error / _CTX.sqrt(n)
     return ErrorRecord(n=n, s_exact=s, a_main=a, error=error,
                        normalized=normalized, algorithm=algorithm, elapsed=elapsed)
 
 
-def error_scan(spec: ScanSpec, algorithm: Algorithm = Algorithm.IDENTITY_SUMMATORY,
-               constants: AsymptoticConstants | None = None) -> list[ErrorRecord]:
+def error_scan(spec: ScanSpec,
+               algorithm: Algorithm = Algorithm.IDENTITY_SUMMATORY) -> list[ErrorRecord]:
     """One ErrorRecord per grid point, ascending in N.
 
     Deterministic apart from the elapsed field.  A failure at any grid
     point is re-raised with the offending N named.
     """
-    k = constants if constants is not None else default_constants()
     records = []
     for n in spec.grid():
         try:
-            records.append(error_at(n, algorithm, k))
+            records.append(error_at(n, algorithm))
         except (ValueError, OverflowError) as exc:
             raise type(exc)(f"scan point N={n}: {exc}") from exc
     return records

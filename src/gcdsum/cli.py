@@ -35,7 +35,7 @@ def _cmd_exact(args) -> int:
 
 def _cmd_predict(args) -> int:
     k = default_constants()
-    a = main_term(args.n, k)
+    a = main_term(args.n)
     nlogn_piece = a - k.c0 * args.n
     print(f"A({args.n}) = {float(a):.15g}")
     print(f"  c1*N*log(N) = {float(nlogn_piece):.15g}")

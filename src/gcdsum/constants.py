@@ -33,13 +33,14 @@ taken from a table:
   starting from (alpha_0, beta_0) = (1, 0), so the correction terms cost
   nothing to generate exactly.
 
-Both sums use the cutoff M = 100.  Correction terms are added until the
-first omitted one falls below 1e-36; near that size the j-th term is
-about (2j)! / (2*pi*M)^(2j), so at M = 100 that takes 9 terms for each
-of gamma and theta, and both come out within 1e-38.  A longer head
-would cost more and add no digit.  The series are asymptotic, not
-convergent: for small M the terms eventually grow, so log_tail first sums
-directly up to max(M, 100) and only then switches to Euler-Maclaurin.
+Both sums use the fixed cutoff M = 100.  Correction terms are added
+until the first omitted one falls below 1e-36; near that size the j-th
+term is about (2j)! / (2*pi*M)^(2j), so at M = 100 that takes 9 terms
+for each of gamma and theta, and both come out within 1e-38.  A longer
+head would cost more and add no digit.  The series are asymptotic, not
+convergent: for small M the terms eventually grow, so log_tail(m) first
+sums directly up to max(m, 100) and only then switches to
+Euler-Maclaurin.
 
 mpmath's own `euler` and `zeta(2, derivative=1)` never appear here; the
 test suite uses them as independent references for exactly that reason.
@@ -74,16 +75,14 @@ def zeta2() -> mpf:
 
 
 @functools.cache
-def euler_gamma(m: int = _EM_M) -> mpf:
-    """Euler-Mascheroni constant by Euler-Maclaurin at cutoff m.
+def euler_gamma() -> mpf:
+    """Euler-Mascheroni constant by Euler-Maclaurin at the cutoff M = 100.
 
-    gamma = sum_{k<=m} 1/k - log m - 1/(2m) + sum_j B_{2j}/(2j * m^{2j}),
+    gamma = sum_{k<=M} 1/k - log M - 1/(2M) + sum_j B_{2j}/(2j * M^{2j}),
     Bernoulli corrections included until the first omitted term is below
-    1e-36 (nine terms at the default m = 100).
+    1e-36 (nine terms).
     """
-    check_natural(m, "m")
-    if m < 2:
-        raise ValueError("gamma cutoff m must be >= 2")
+    m = _EM_M
     one = _CTX.mpf(1)
     value = _CTX.fsum(one / k for k in range(1, m + 1))
     value -= _CTX.log(m) + one / (2 * m)
@@ -99,26 +98,10 @@ def euler_gamma(m: int = _EM_M) -> mpf:
 
 
 @functools.cache
-def theta(m: int = _EM_M) -> mpf:
-    """sum_{d>=1} log(d)/d^2: direct head up to m plus Euler-Maclaurin tail."""
-    check_natural(m, "m")
-    if m < 2:
-        raise ValueError("theta cutoff m must be >= 2")
-    head = _CTX.fsum(_CTX.log(d) / (d * d) for d in range(2, m + 1))
-    return head + log_tail(m)
-
-
-def partial_zeta2(m: int) -> mpf:
-    """sum_{d<=m} 1/d^2 by direct summation, rounded once to working precision.
-
-    The terms are summed as 256-bit fixed-point Python ints; truncating
-    each one loses less than m * 2^-256 in all, far below WORKING_DPS.
-    """
-    check_natural(m, "m")
-    if m < 1:
-        raise ValueError("partial_zeta2 needs m >= 1")
-    one = 1 << 256
-    return _CTX.mpf(sum(one // (d * d) for d in range(1, m + 1))) / one
+def theta() -> mpf:
+    """sum_{d>=1} log(d)/d^2: direct head up to M = 100 plus Euler-Maclaurin tail."""
+    head = _CTX.fsum(_CTX.log(d) / (d * d) for d in range(2, _EM_M + 1))
+    return head + log_tail(_EM_M)
 
 
 def log_tail(m: int) -> mpf:

@@ -79,7 +79,7 @@ def _check_summable(n: int) -> None:
     _check_domain(n, "N")
 
 
-def s_brute(n: int, cap: int = DEFAULT_BRUTE_CAP) -> int:
+def s_brute(n: int) -> int:
     """S(N) straight from the definition: one gcd evaluation per pair.
 
     Every pair with a*b <= n has min(a, b) <= isqrt(n), so summing the
@@ -88,10 +88,10 @@ def s_brute(n: int, cap: int = DEFAULT_BRUTE_CAP) -> int:
     once.  Rows run as vectorized gcd + divisor-table gathers.
     """
     _check_positive(n)
-    if n > cap:
-        raise ValueError(f"N={n} exceeds the brute-force cap of {cap}")
+    if n > DEFAULT_BRUTE_CAP:
+        raise ValueError(f"N={n} exceeds the brute-force cap of {DEFAULT_BRUTE_CAP}")
     r = isqrt(n)
-    taus = sieve_tau(r).tau
+    taus = sieve_tau(r)
     total = 0
     for a in range(1, r + 1):
         row = np.arange(1, n // a + 1, dtype=np.int64)
@@ -122,13 +122,14 @@ def _table_prefix(limit: int) -> np.ndarray:
 
 @functools.lru_cache(maxsize=4)
 def _build_table_prefix(limit: int) -> np.ndarray:
-    """sieve_tau(limit).prefix; call it through _table_prefix.
+    """Running sums of sieve_tau(limit); call it through _table_prefix.
 
     sieve_tau is looked up as a module global at call time, so a wrapper
-    bound on this module sees the build; the tau array is dropped.  The
-    caller holds limit to the sieve cap, so limit itself is the cap here.
+    bound on this module sees the build; the tau array is dropped.
     """
-    return sieve_tau(limit, limit).prefix
+    prefix = np.cumsum(sieve_tau(limit))
+    prefix.flags.writeable = False
+    return prefix
 
 
 def s_identity(n: int) -> int:

@@ -2,8 +2,8 @@
 
 Both outputs are byte-deterministic for identical inputs: numbers are
 rendered with locale-free formats, and the SVG is assembled by hand so no
-plotting library can inject noise.  The wall-clock column is the one
-nondeterministic field, so the CSV writer can omit it on request.
+plotting library can inject noise.  The trailing wall-clock column of
+the CSV is its one nondeterministic field.
 """
 
 import math
@@ -17,18 +17,15 @@ def _sig15(x) -> str:
     return f"{float(x):.15g}"
 
 
-def write_csv(records, path, include_seconds: bool = True) -> None:
+def write_csv(records, path) -> None:
     """Write one row per record under the header N,S,A,E,E_over_sqrtN,alg,seconds.
 
-    A, E and E/sqrt(N) carry 15 significant digits.  With
-    include_seconds=False the (nondeterministic) trailing column is
-    dropped, which makes repeated runs byte-identical.
+    A, E and E/sqrt(N) carry 15 significant digits.
     """
     records = list(records)
     if not records:
         raise ValueError("no records to write")
-    columns = CSV_COLUMNS if include_seconds else CSV_COLUMNS[:-1]
-    lines = [",".join(columns)]
+    lines = [",".join(CSV_COLUMNS)]
     for r in records:
         fields = [
             str(r.n),
@@ -37,9 +34,8 @@ def write_csv(records, path, include_seconds: bool = True) -> None:
             _sig15(r.error),
             _sig15(r.normalized),
             r.algorithm.value,
+            f"{r.elapsed:.6f}",
         ]
-        if include_seconds:
-            fields.append(f"{r.elapsed:.6f}")
         lines.append(",".join(fields))
     Path(path).write_text("\n".join(lines) + "\n", encoding="ascii")
 

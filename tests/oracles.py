@@ -6,6 +6,11 @@ division, full pair enumeration.  None of it shares code with the package.
 
 import math
 
+import mpmath
+
+_CTX = mpmath.MPContext()
+_CTX.dps = 40
+
 
 def tau_by_enumeration(n: int) -> int:
     """Divisor count by checking every candidate up to n."""
@@ -47,3 +52,15 @@ def s_by_pair_enumeration(n: int) -> int:
 def common_divisors(a: int, b: int) -> list[int]:
     """All d dividing both a and b, by enumeration."""
     return [d for d in range(1, min(a, b) + 1) if a % d == 0 and b % d == 0]
+
+
+def partial_zeta2(m: int):
+    """sum_{d<=m} 1/d^2 by direct summation, rounded once to 40 digits.
+
+    The terms are summed as 256-bit fixed-point Python ints; truncating
+    each one loses less than m * 2^-256 in all.
+    """
+    if m < 1:
+        raise ValueError(f"partial_zeta2 needs m >= 1, got {m}")
+    one = 1 << 256
+    return _CTX.mpf(sum(one // (d * d) for d in range(1, m + 1))) / one

@@ -61,47 +61,46 @@ def test_tau_multiplicative_on_coprime_pairs():
 
 def test_sieve_limit_one():
     t = sieve_tau(1)
-    assert t.limit == 1
-    assert int(t.tau[1]) == 1
-    assert int(t.prefix[1]) == 1
+    assert len(t) - 1 == 1
+    assert int(t[1]) == 1
+    assert int(np.cumsum(t)[1]) == 1
 
 
 def test_sieve_limit_five():
     t = sieve_tau(5)
-    assert list(t.tau[1:]) == [1, 2, 2, 3, 2]
-    assert list(t.prefix[1:]) == [1, 3, 5, 8, 10]
+    assert list(t[1:]) == [1, 2, 2, 3, 2]
+    assert list(np.cumsum(t)[1:]) == [1, 3, 5, 8, 10]
 
 
 def test_sieve_limit_hundred_against_tau():
-    t = sieve_tau(100)
-    assert int(t.prefix[100]) == 482
-    assert int(t.prefix[100]) == sum(tau(n) for n in range(1, 101))
+    prefix = np.cumsum(sieve_tau(100))
+    assert int(prefix[100]) == 482
+    assert int(prefix[100]) == sum(tau(n) for n in range(1, 101))
 
 
 def test_sieve_matches_trial_division_up_to_1e5():
     t = sieve_tau(10**5)
-    assert all(tau(n) == int(t.tau[n]) for n in range(1, 10**5 + 1))
+    assert all(tau(n) == int(t[n]) for n in range(1, 10**5 + 1))
 
 
 def test_sieve_prefix_structure():
     t = sieve_tau(2000)
-    assert np.array_equal(t.prefix[1:] - t.prefix[:-1], t.tau[1:])
-    assert np.all(np.diff(t.prefix) >= 0)
-    assert all(int(t.tau[p]) == 2 for p in (2, 3, 5, 7, 1999))
+    prefix = np.cumsum(t)
+    assert np.array_equal(prefix[1:] - prefix[:-1], t[1:])
+    assert np.all(np.diff(prefix) >= 0)
+    assert all(int(t[p]) == 2 for p in (2, 3, 5, 7, 1999))
 
 
 def test_sieve_rejects_bad_limits():
     with pytest.raises(ValueError):
         sieve_tau(0)
-    with pytest.raises(ValueError):
-        sieve_tau(100, cap=50)
 
 
 def test_sieve_cap_env_override(monkeypatch):
     monkeypatch.setenv("GCDSUM_SIEVE_CAP", "50")
     with pytest.raises(ValueError):
         sieve_tau(100)
-    assert sieve_tau(50).limit == 50
+    assert len(sieve_tau(50)) - 1 == 50
     monkeypatch.setenv("GCDSUM_SIEVE_CAP", "not-a-number")
     with pytest.raises(ValueError):
         sieve_tau(10)
@@ -119,6 +118,4 @@ def test_sieve_cap_below_one_is_refused(monkeypatch, raw):
 def test_sieve_arrays_are_frozen():
     t = sieve_tau(10)
     with pytest.raises(ValueError):
-        t.tau[3] = 99
-    with pytest.raises(ValueError):
-        t.prefix[3] = 99
+        t[3] = 99

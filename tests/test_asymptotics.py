@@ -93,6 +93,10 @@ def test_scan_spec_rejects_degenerate_ranges():
         ScanSpec(0, 10, 3)
     with pytest.raises(ValueError):
         ScanSpec(10, 100, 1)
+    # a bare string or None would silently fall through to the linear grid
+    for spacing in ("geometric", None):
+        with pytest.raises(TypeError, match="Spacing"):
+            ScanSpec(10, 10**6, 5, spacing)
 
 
 def test_scan_dedupes_collisions():

@@ -53,15 +53,6 @@ def test_csv_round_trip(scan_records, tmp_path):
         assert float(seconds) >= 0.0
 
 
-def test_csv_seconds_column_is_optional(scan_records, tmp_path):
-    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-    write_csv(scan_records, a, include_seconds=False)
-    write_csv(scan_records, b, include_seconds=False)
-    assert a.read_bytes() == b.read_bytes()
-    header = a.read_text().splitlines()[0]
-    assert header == HEADER.rsplit(",", 1)[0]
-
-
 def test_svg_basic_shape(scan_records, tmp_path):
     path = tmp_path / "scan.svg"
     write_svg(scan_records, path)

@@ -5,7 +5,7 @@ asymptotic main term zeta(2)*N*log(N) + ((2*gamma - 1)*zeta(2) - 2*theta)*N,
 and scan tooling that exhibits the O(sqrt(N)) error empirically.
 """
 
-from .arith import isqrt, sieve_tau
+from .arith import sieve_tau
 from .asymptotics import (
     ErrorRecord,
     ScanSpec,
@@ -39,7 +39,6 @@ __all__ = [
     "error_at",
     "error_scan",
     "euler_gamma",
-    "isqrt",
     "lattice_count",
     "log_tail",
     "main_term",

@@ -1,4 +1,4 @@
-"""Exact integer primitives: floor square root and the divisor sieve.
+"""Exact integer primitives: argument checks and the divisor sieve.
 
 Everything downstream assumes these are exact.  Python integers never wrap,
 so the only overflow concern is the advertised 64-bit magnitude contract on
@@ -27,16 +27,6 @@ def check_natural(n: int, name: str = "n") -> int:
     return n
 
 
-def isqrt(n: int) -> int:
-    """Floor square root: the unique r with r*r <= n < (r+1)*(r+1).
-
-    Integer Newton iteration via math.isqrt; no float is involved, so
-    there is no misrounding near 2^52 the way int(n**0.5) suffers.
-    """
-    check_natural(n)
-    return math.isqrt(n)
-
-
 def sieve_cap() -> int:
     """Sieve entry cap; override with the GCDSUM_SIEVE_CAP env variable."""
     raw = os.environ.get(SIEVE_CAP_ENV)
@@ -51,6 +41,19 @@ def sieve_cap() -> int:
     return cap
 
 
+def check_sieve_limit(limit: int, name: str) -> None:
+    """Refuse a sieve size outside [1, sieve_cap()], naming the cap's env variable."""
+    check_natural(limit, name)
+    if limit < 1:
+        raise ValueError(f"{name} must be >= 1, got {limit}")
+    cap = sieve_cap()
+    if limit > cap:
+        raise ValueError(
+            f"{name}={limit} exceeds the sieve cap of {cap} entries "
+            f"(override with {SIEVE_CAP_ENV})"
+        )
+
+
 def sieve_tau(limit: int) -> np.ndarray:
     """tau(0..limit) as one read-only int64 array (slot 0 holds 0).
 
@@ -62,15 +65,7 @@ def sieve_tau(limit: int) -> np.ndarray:
     of limit + 1 entries (the default cap of 10^8 entries keeps it under
     ~0.8 GB).  Read-only, hence safe to share across threads.
     """
-    check_natural(limit, "limit")
-    if limit < 1:
-        raise ValueError("sieve limit must be >= 1")
-    cap = sieve_cap()
-    if limit > cap:
-        raise ValueError(
-            f"sieve limit {limit} exceeds the cap of {cap} entries "
-            f"(override with {SIEVE_CAP_ENV})"
-        )
+    check_sieve_limit(limit, "limit")
     t = np.zeros(limit + 1, dtype=np.int64)
     for d in range(1, math.isqrt(limit) + 1):
         t[d * d::d] += 2

@@ -41,6 +41,7 @@ class ScanSpec:
                 f"degenerate scan range: need 1 <= n_min < n_max, "
                 f"got [{self.n_min}, {self.n_max}]"
             )
+        check_natural(self.points, "points")
         if self.points < 2:
             raise ValueError(f"scan needs at least 2 points, got {self.points}")
         if not isinstance(self.spacing, Spacing):

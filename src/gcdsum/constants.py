@@ -13,34 +13,32 @@ and never written afterwards, so no result depends on the global
 `mpmath.mp` or on thread scheduling.
 
 gamma and theta are computed here by Euler-Maclaurin summation rather than
-taken from a table:
+taken from a table.  For f(x) = log(x)^a / x^s the tail past m is
 
-* gamma:  H_M = log M + gamma + 1/(2M) - sum_{j>=1} B_{2j} / (2j * M^{2j}),
-  so gamma = H_M - log M - 1/(2M) + corrections.
+    sum_{n>m} f(n) = integral_m^inf f - f(m)/2
+                     - sum_{j>=1} B_{2j}/(2j)! * f^(2j-1)(m),
 
-* theta:  direct summation of log(d)/d^2 up to M, plus the tail
+and _em_correction(m, a, s) returns everything after the integral.  Every
+derivative has the closed form f^(k)(x) = (alpha_k * log x + beta_k) / x^(k+s)
+with integer coefficients obeying
 
-      log_tail(M) = (log M + 1)/M - log M/(2 M^2)
-                    - sum_{j>=1} B_{2j}/(2j)! * f^(2j-1)(M),
+    alpha_{k+1} = -(k + s) * alpha_k,
+    beta_{k+1}  = alpha_k - (k + s) * beta_k,
 
-  where f(x) = log(x)/x^2.  Every derivative of f has the closed form
-  f^(k)(x) = (alpha_k * log x + beta_k) / x^(k+2) with integer
-  coefficients obeying
+from (alpha_0, beta_0) = (a, 1 - a), so the correction terms cost nothing
+to generate exactly.  With M = 100:
 
-      alpha_{k+1} = -(k + 2) * alpha_k,
-      beta_{k+1}  = alpha_k - (k + 2) * beta_k,
+* gamma = H_M - log M + _em_correction(M, 0, 1), for f(x) = 1/x;
+* theta = sum_{d<=M} log(d)/d^2 + log_tail(M), where for f(x) = log(x)/x^2
+  log_tail(M) = (log M + 1)/M + _em_correction(M, 1, 2).
 
-  starting from (alpha_0, beta_0) = (1, 0), so the correction terms cost
-  nothing to generate exactly.
-
-Both sums use the fixed cutoff M = 100.  Correction terms are added
-until the first omitted one falls below 1e-36; near that size the j-th
-term is about (2j)! / (2*pi*M)^(2j), so at M = 100 that takes 9 terms
-for each of gamma and theta, and both come out within 1e-38.  A longer
-head would cost more and add no digit.  The series are asymptotic, not
-convergent: for small M the terms eventually grow, so log_tail(m) first
-sums directly up to max(m, 100) and only then switches to
-Euler-Maclaurin.
+Correction terms are added until the first omitted one falls below 1e-36;
+near that size the j-th term is about (2j)! / (2*pi*M)^(2j), so at M = 100
+that takes 9 terms for each of gamma and theta, and both come out within
+1e-38.  A longer head would cost more and add no digit.  The series are
+asymptotic, not convergent: for small m the terms eventually grow, so
+log_tail(m) first sums directly up to max(m, 100) and only then switches
+to Euler-Maclaurin.
 
 mpmath's own `euler` and `zeta(2, derivative=1)` never appear here; the
 test suite uses them as independent references for exactly that reason.
@@ -74,27 +72,36 @@ def zeta2() -> mpf:
     return _CTX.pi**2 / 6
 
 
-@functools.cache
-def euler_gamma() -> mpf:
-    """Euler-Mascheroni constant by Euler-Maclaurin at the cutoff M = 100.
+def _em_correction(m: int, a: int, s: int) -> mpf:
+    """-f(m)/2 - sum_j B_{2j}/(2j)! * f^(2j-1)(m) for f(x) = log(x)^a / x^s.
 
-    gamma = sum_{k<=M} 1/k - log M - 1/(2M) + sum_j B_{2j}/(2j * M^{2j}),
-    Bernoulli corrections included until the first omitted term is below
-    1e-36 (nine terms).
+    Terms are added until the first omitted one is below 1e-36 or no
+    smaller than the one before (the series is asymptotic).
     """
-    m = _EM_M
-    one = _CTX.mpf(1)
-    value = _CTX.fsum(one / k for k in range(1, m + 1))
-    value -= _CTX.log(m) + one / (2 * m)
+    lg = _CTX.log(m)
+    alpha, beta = a, 1 - a  # f^(k)(x) = (alpha*log x + beta) / x^(k+s), exact ints
+    total = -(alpha * lg + beta) / (2 * _CTX.mpf(m) ** s)
+    order = 0
     j, prev = 1, _CTX.inf
     while True:
-        term = _CTX.bernoulli(2 * j) / (2 * j * _CTX.mpf(m) ** (2 * j))
+        while order < 2 * j - 1:
+            alpha, beta = -(order + s) * alpha, alpha - (order + s) * beta
+            order += 1
+        derivative = (alpha * lg + beta) / _CTX.mpf(m) ** (order + s)
+        term = _CTX.bernoulli(2 * j) / _CTX.factorial(2 * j) * derivative
         if abs(term) < _EM_STOP or abs(term) >= prev:
             break
-        value += term
+        total -= term
         prev = abs(term)
         j += 1
-    return value
+    return total
+
+
+@functools.cache
+def euler_gamma() -> mpf:
+    """Euler-Mascheroni constant: H_M - log M + Euler-Maclaurin correction at M = 100."""
+    harmonic = _CTX.fsum(_CTX.mpf(1) / k for k in range(1, _EM_M + 1))
+    return harmonic - _CTX.log(_EM_M) + _em_correction(_EM_M, 0, 1)
 
 
 @functools.cache
@@ -107,9 +114,9 @@ def theta() -> mpf:
 def log_tail(m: int) -> mpf:
     """sum_{d>m} log(d)/d^2.
 
-    Sums directly up to max(m, 100), then applies Euler-Maclaurin with
-    the exact derivative recurrence for f(x) = log(x)/x^2 (see the module
-    docstring).  Leading behavior is (log m + 1)/m - log m/(2 m^2).
+    Sums directly up to m0 = max(m, 100), then adds the integral
+    (log m0 + 1)/m0 and the Euler-Maclaurin correction for
+    f(x) = log(x)/x^2 (see the module docstring).
     """
     check_natural(m, "m")
     if m < 2:
@@ -118,57 +125,32 @@ def log_tail(m: int) -> mpf:
     value = _CTX.mpf(0)
     if m0 > m:
         value = _CTX.fsum(_CTX.log(d) / (d * d) for d in range(m + 1, m0 + 1))
-    return value + _log_tail_euler_maclaurin(m0)
-
-
-def _log_tail_euler_maclaurin(m: int) -> mpf:
-    """Tail of log(d)/d^2 past m by Euler-Maclaurin."""
-    lg = _CTX.log(m)
-    total = (lg + 1) / m - lg / (2 * _CTX.mpf(m) ** 2)
-    alpha, beta = 1, 0  # f^(k)(x) = (alpha*log x + beta) / x^(k+2), exact ints
-    order = 0
-    j, prev = 1, _CTX.inf
-    while True:
-        while order < 2 * j - 1:
-            alpha, beta = -(order + 2) * alpha, alpha - (order + 2) * beta
-            order += 1
-        derivative = (alpha * lg + beta) / _CTX.mpf(m) ** (order + 2)
-        term = _CTX.bernoulli(2 * j) / _CTX.factorial(2 * j) * derivative
-        if abs(term) < _EM_STOP or abs(term) >= prev:
-            break
-        total -= term
-        prev = abs(term)
-        j += 1
-    return total
+    return value + (_CTX.log(m0) + 1) / m0 + _em_correction(m0, 1, 2)
 
 
 @dataclass(frozen=True)
 class AsymptoticConstants:
-    """The constant bundle (zeta2, gamma, theta, c1, c0) for the main term.
+    """The constants zeta2, gamma, theta and the main-term coefficients they give.
 
-    c1 = zeta2 by construction; c0 = (2*gamma - 1)*zeta2 - 2*theta is
-    recomputed and checked on construction.
+    c1 = zeta2 and c0 = (2*gamma - 1)*zeta2 - 2*theta are derived, so they
+    cannot disagree with the constants.
     """
 
     zeta2: mpf
     gamma: mpf
     theta: mpf
-    c1: mpf
-    c0: mpf
 
-    def __post_init__(self):
-        if self.c1 != self.zeta2:
-            raise ValueError("c1 must equal zeta2 exactly")
-        rebuilt = (2 * self.gamma - 1) * self.zeta2 - 2 * self.theta
-        if abs(rebuilt - self.c0) > _CTX.mpf(10) ** (-TRUSTED_DIGITS):
-            raise ValueError("c0 does not match (2*gamma - 1)*zeta2 - 2*theta")
+    @property
+    def c1(self) -> mpf:
+        return self.zeta2
+
+    @functools.cached_property
+    def c0(self) -> mpf:
+        """Computed on first read; threads that race there store equal values."""
+        return (2 * self.gamma - 1) * self.zeta2 - 2 * self.theta
 
 
 @functools.cache
 def default_constants() -> AsymptoticConstants:
     """Compute the bundle once and share it (immutable, thread-safe)."""
-    z = zeta2()
-    g = euler_gamma()
-    t = theta()
-    c0 = (2 * g - 1) * z - 2 * t
-    return AsymptoticConstants(zeta2=z, gamma=g, theta=t, c1=z, c0=c0)
+    return AsymptoticConstants(zeta2=zeta2(), gamma=euler_gamma(), theta=theta())

@@ -46,7 +46,7 @@ import threading
 
 import numpy as np
 
-from .arith import SIEVE_CAP_ENV, check_natural, isqrt, sieve_cap, sieve_tau
+from .arith import check_natural, check_sieve_limit, sieve_cap, sieve_tau
 from .summatory import CHUNK, _check_domain
 
 # lemma1 and identity check N once and then call the unchecked kernels.  They
@@ -90,7 +90,7 @@ def s_brute(n: int) -> int:
     _check_positive(n)
     if n > DEFAULT_BRUTE_CAP:
         raise ValueError(f"N={n} exceeds the brute-force cap of {DEFAULT_BRUTE_CAP}")
-    r = isqrt(n)
+    r = math.isqrt(n)
     taus = sieve_tau(r)
     total = 0
     for a in range(1, r + 1):
@@ -158,18 +158,10 @@ def s_upto(m: int) -> np.ndarray:
     exact because that factor was put there at p^(k-1).  Refuses m above
     the sieve cap, as sieve_tau does.
     """
-    check_natural(m, "m")
-    if m < 1:
-        raise ValueError("s_upto needs m >= 1")
-    cap = sieve_cap()
-    if m > cap:
-        raise ValueError(
-            f"s_upto({m}) exceeds the sieve cap of {cap} entries "
-            f"(override with {SIEVE_CAP_ENV})"
-        )
+    check_sieve_limit(m, "m")
     is_prime = np.ones(m + 1, dtype=bool)
     is_prime[:2] = False
-    for p in range(2, isqrt(m) + 1):
+    for p in range(2, math.isqrt(m) + 1):
         if is_prime[p]:
             is_prime[p * p::p] = False
     # g[k] = f(p^k): the pair (p^a, p^(k-a)) has gcd p^min(a, k-a)

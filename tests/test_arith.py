@@ -4,35 +4,10 @@ import random
 import numpy as np
 import pytest
 
-from gcdsum import isqrt, sieve_tau
+from gcdsum import sieve_tau
 from gcdsum.arith import sieve_cap
 from oracles import tau_by_enumeration
 from oracles import tau_by_trial_division as tau
-
-
-def test_isqrt_examples():
-    assert isqrt(0) == 0
-    assert isqrt(10) == 3
-    assert isqrt(10**12) == 10**6
-
-
-def test_isqrt_bad_inputs():
-    with pytest.raises(ValueError):
-        isqrt(-1)
-    with pytest.raises(OverflowError):
-        isqrt(2**63)
-    with pytest.raises(TypeError):
-        isqrt(10.0)
-    with pytest.raises(TypeError):
-        isqrt(True)
-
-
-def test_isqrt_bracket_on_random_inputs():
-    rng = random.Random(12345)
-    for _ in range(10**4):
-        n = rng.randrange(2**62)
-        r = isqrt(n)
-        assert r * r <= n < (r + 1) * (r + 1)
 
 
 def test_tau_examples():

@@ -93,6 +93,9 @@ def test_scan_spec_rejects_degenerate_ranges():
         ScanSpec(0, 10, 3)
     with pytest.raises(ValueError):
         ScanSpec(10, 100, 1)
+    # a non-integer count would otherwise fail only later, inside grid()
+    with pytest.raises(TypeError, match="points"):
+        ScanSpec(10, 100, 2.5)
     # a bare string or None would silently fall through to the linear grid
     for spacing in ("geometric", None):
         with pytest.raises(TypeError, match="Spacing"):

@@ -50,6 +50,30 @@ def test_constants_default_digits(capsys):
     assert len(out.splitlines()) == 5
 
 
+# Frozen CLI text.  Re-summing gamma, theta or c0 may move them by ~1e-41,
+# far below the 30 trusted digits, but must move no printed digit.
+FROZEN_OUTPUTS = {
+    ("constants", "--digits", "30"): (
+        "zeta2 = 1.64493406684822643647241516665   (trusted digits: 30)\n"
+        "gamma = 0.577215664901532860606512090082   (trusted digits: 30)\n"
+        "theta = 0.937548254315843753702574094568   (trusted digits: 30)\n"
+        "c1    = 1.64493406684822643647241516665   (trusted digits: 30)\n"
+        "c0    = -1.62106715324995089478643515132   (trusted digits: 30)\n"
+    ),
+    ("predict", "1000000000000"): (
+        "A(1000000000000) = 43830140782143.6\n"
+        "  c1*N*log(N) = 45451207935393.6\n"
+        "  c0*N        = -1621067153249.95\n"
+    ),
+}
+
+
+def test_outputs_match_frozen_text(capsys):
+    for argv, expected in FROZEN_OUTPUTS.items():
+        assert run(list(argv)) == 0
+        assert capsys.readouterr().out == expected
+
+
 def test_constants_few_digits(capsys):
     assert run(["constants", "--digits", "5"]) == 0
     assert "1.6449" in capsys.readouterr().out

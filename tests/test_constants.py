@@ -1,3 +1,5 @@
+import math
+
 import mpmath
 import pytest
 from mpmath import mp, mpf, nstr
@@ -7,7 +9,6 @@ from gcdsum import (
     AsymptoticConstants,
     default_constants,
     euler_gamma,
-    isqrt,
     log_tail,
     theta,
     zeta2,
@@ -146,7 +147,7 @@ def test_log_tail_leading_terms():
 def test_log_tail_sqrt_cutoff_behavior():
     # with M = sqrt(N) the tail is log(N)/(2 sqrt N) + 1/sqrt(N) + O(log N / N)
     for n in (10**4, 10**6, 10**8):
-        m = isqrt(n)
+        m = math.isqrt(n)
         with mp.workdps(40):
             lead = mp.log(n) / (2 * mp.sqrt(n)) + 1 / mp.sqrt(n)
             diff = abs(log_tail(m) - lead)
@@ -190,6 +191,9 @@ def test_bundle_c0_value_and_invariants():
     assert TRUSTED_DIGITS >= 25
     rebuilt = (2 * k.gamma - 1) * k.zeta2 - 2 * k.theta
     assert abs(rebuilt - k.c0) < mpf("1e-30")
+    # c1 and c0 are derived from the three constants, never passed in
+    again = AsymptoticConstants(zeta2=k.zeta2, gamma=k.gamma, theta=k.theta)
+    assert again == k and again.c0 == k.c0
 
 
 def test_bundle_against_60_digit_references():
@@ -217,20 +221,6 @@ def test_theta_head_stays_short(monkeypatch):
     monkeypatch.setattr(constants._CTX, "log", counting)
     assert theta.__wrapped__() == expected
     assert len(calls) <= 200
-
-
-def test_bundle_rejects_inconsistent_c0():
-    k = default_constants()
-    with pytest.raises(ValueError):
-        AsymptoticConstants(zeta2=k.zeta2, gamma=k.gamma, theta=k.theta,
-                            c1=k.zeta2, c0=k.theta)
-
-
-def test_bundle_rejects_mismatched_c1():
-    k = default_constants()
-    with pytest.raises(ValueError):
-        AsymptoticConstants(zeta2=k.zeta2, gamma=k.gamma, theta=k.theta,
-                            c1=k.gamma, c0=k.c0)
 
 
 def test_default_constants_is_cached():

@@ -9,7 +9,6 @@ import pytest
 from gcdsum import (
     Algorithm,
     divisor_summatory,
-    isqrt,
     lattice_count,
     s_brute,
     s_exact,
@@ -150,7 +149,7 @@ def _set_cap(monkeypatch, cap):
 
 def _large_terms(n, limit):
     """The x = floor(n / d^2) above the table limit, in order of d."""
-    return [n // (d * d) for d in range(1, isqrt(n) + 1) if n // (d * d) > limit]
+    return [n // (d * d) for d in range(1, math.isqrt(n) + 1) if n // (d * d) > limit]
 
 
 def _check_split(traced_identity, n, limit):
@@ -184,7 +183,7 @@ def test_identity_split_on_a_square(monkeypatch, traced_identity, cap, ds):
 
 def test_identity_where_split_point_moves(monkeypatch, traced_identity):
     limit = _set_cap(monkeypatch, "1000")
-    split = [isqrt(n // (limit + 1)) + 1 for n in range(200_001)]
+    split = [math.isqrt(n // (limit + 1)) + 1 for n in range(200_001)]
     moves = [n for n in range(2, 200_001) if split[n] != split[n - 1]]
     assert len(moves) >= 10
     # the split moves up by one where n // (L + 1) reaches a perfect square

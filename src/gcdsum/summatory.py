@@ -8,9 +8,9 @@ divisor r.  Folding that count about the diagonal r = s gives
 
 because every point has min(r, s) <= sqrt(x), and the square block with
 both coordinates <= sqrt(x) is the part counted twice.  floor_sum evaluates
-the floor sum with numpy in int64 chunks of at most min(CHUNK, MAX_NATURAL // x)
-terms.  Every term is at most x, so no chunk's int64 sum can wrap; the
-chunk sums are added up as Python ints.
+the floor sum with numpy in chunks of at most CHUNK terms, in float64 for
+x <= FLOAT_X, the largest x with x * (1 + ln x) <= 2^53, and in int64
+above it.  Both routes are exact; floor_sum's docstring gives the reason.
 
 lattice_count evaluates the unfolded floor sum sum_{r<=M} floor(M/r)
 instead, batching the O(sqrt M) maximal ranges of r over which the
@@ -38,6 +38,11 @@ from .arith import MAX_NATURAL, check_natural
 
 CHUNK = 2**14
 MAX_X = 225_203_186_528_917_274
+FLOAT_X = 263_334_173_793_272
+
+# 1..CHUNK as doubles: the first float chunk slices it instead of allocating
+_FIRST_K = np.arange(1, CHUNK + 1, dtype=np.float64)
+_FIRST_K.flags.writeable = False
 
 
 def _check_domain(x: int, name: str) -> None:
@@ -50,12 +55,37 @@ def _check_domain(x: int, name: str) -> None:
 
 
 def floor_sum(x: int, r: int) -> int:
-    """Exact sum_{k=1..r} x // k for 0 <= x <= 2^63 - 1, as a Python int."""
-    step = min(CHUNK, MAX_NATURAL // max(x, 1))
+    """Exact sum_{k=1..r} x // k for 0 <= x <= 2^63 - 1, as a Python int.
+
+    For x <= FLOAT_X each chunk divides in float64 and floors.  x < 2^53 and
+    k are exact doubles, so x/k is correctly rounded, with an error of at
+    most (x/k) * 2^-53 < 1/k.  A non-integer x/k lies at least 1/k below the
+    next integer, so floor never rounds up, and an integer x/k is exact.
+    Every partial sum of a chunk is a sum of nonnegative integers no larger
+    than D(x) <= x * (1 + ln x) <= 2^53, so the float64 sum is exact too.
+
+    For x > FLOAT_X each chunk [lo, hi) floor-divides in int64, with
+    hi - lo <= min(CHUNK, lo * (MAX_NATURAL // x)).  Every term is at most
+    x / lo, so no chunk's sum can wrap; only the first few chunks are short.
+
+    The chunk sums are added up as Python ints.
+    """
     total = 0
-    for lo in range(1, r + 1, step):
-        k = np.arange(lo, min(lo + step, r + 1), dtype=np.int64)
+    if x <= FLOAT_X:
+        for lo in range(1, r + 1, CHUNK):
+            hi = min(lo + CHUNK, r + 1)
+            k = _FIRST_K[: hi - lo] if lo == 1 else np.arange(lo, hi, dtype=np.float64)
+            q = np.divide(float(x), k)
+            np.floor(q, out=q)
+            total += int(q.sum())
+        return total
+    per_lo = MAX_NATURAL // x
+    lo = 1
+    while lo <= r:
+        hi = min(lo + min(CHUNK, lo * per_lo), r + 1)
+        k = np.arange(lo, hi, dtype=np.int64)
         total += int((x // k).sum())
+        lo = hi
     return total
 
 

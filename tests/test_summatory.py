@@ -1,13 +1,15 @@
+import itertools
+import math
 import random
 
 import mpmath
 import numpy as np
 import pytest
 
-from gcdsum import divisor_summatory, lattice_count, sieve_tau
+from gcdsum import divisor_summatory, lattice_count, sieve_tau, summatory
 from gcdsum.arith import MAX_NATURAL
-from gcdsum.summatory import CHUNK, MAX_X, floor_sum
-from oracles import lattice_by_enumeration, tau_by_enumeration
+from gcdsum.summatory import CHUNK, FLOAT_X, MAX_X, floor_sum
+from oracles import lattice_by_enumeration, tau_by_enumeration, tau_by_trial_division
 
 
 def test_divisor_summatory_examples():
@@ -62,15 +64,20 @@ def test_boundary_points_on_hyperbola_count():
         assert gained == tau_by_enumeration(m)
 
 
-def test_max_x_is_the_largest_x_whose_bound_fits():
+def _bound(x):
     ctx = mpmath.MPContext()
     ctx.dps = 60
+    return x * (1 + ctx.log(x))
 
-    def bound(x):
-        return x * (1 + ctx.log(x))
 
-    assert bound(MAX_X) <= MAX_NATURAL < bound(MAX_X + 1)
+def test_max_x_is_the_largest_x_whose_bound_fits():
+    assert _bound(MAX_X) <= MAX_NATURAL < _bound(MAX_X + 1)
     assert 10**16 < MAX_X
+
+
+def test_float_x_is_the_largest_x_whose_bound_fits_a_double():
+    assert _bound(FLOAT_X) <= 2**53 < _bound(FLOAT_X + 1)
+    assert 10**14 < FLOAT_X < 2**53
 
 
 @pytest.mark.parametrize("fn", [divisor_summatory, lattice_count])
@@ -107,3 +114,63 @@ def test_divisor_summatory_returns_python_int():
     value = divisor_summatory(10**10)
     assert type(value) is int
     assert value == lattice_count(10**10)
+
+
+def test_float_quotients_floor_exactly_up_to_float_x():
+    # x = k * floor(FLOAT_X / k) divides exactly; x - 1 puts x/k 1/k below an
+    # integer, the closest a non-integer quotient gets to rounding up
+    rng = np.random.default_rng(9009)
+    k = np.concatenate([rng.integers(1, math.isqrt(FLOAT_X) + 1, 10**4),
+                        rng.integers(1, FLOAT_X + 1, 10**4)])
+    for x in (k * (FLOAT_X // k), k * (FLOAT_X // k) - 1):
+        q = np.floor(np.divide(x.astype(np.float64), k.astype(np.float64)))
+        assert np.array_equal(q.astype(np.int64), x // k)
+
+
+def test_first_float_chunk_is_read_only():
+    k = summatory._FIRST_K
+    assert k.dtype == np.float64
+    assert np.array_equal(k, np.arange(1, CHUNK + 1))
+    with pytest.raises(ValueError):
+        k[0] = 2.0
+
+
+def _prefix_sums(x, r):
+    return [0, *itertools.accumulate(x // k for k in range(1, r + 1))]
+
+
+@pytest.mark.parametrize("x", [FLOAT_X - 1, FLOAT_X, FLOAT_X + 1, 2**53 + 1])
+def test_floor_sum_on_both_sides_of_float_x(x):
+    prefix = _prefix_sums(x, 10**5)
+    for r in (1, CHUNK - 1, CHUNK, CHUNK + 1, 10**5):
+        assert floor_sum(x, r) == prefix[r]
+
+
+@pytest.mark.parametrize("x", [MAX_X, MAX_X - 1, 2**62])
+def test_int_chunks_grow_geometrically_without_wrapping(x):
+    # above FLOAT_X a chunk [lo, hi) has hi - lo <= min(CHUNK, lo * (MAX_NATURAL // x))
+    r_max = 10**5
+    prefix = _prefix_sums(x, r_max)
+    edges, lo = [], 1
+    while lo <= r_max:
+        lo = min(lo + min(CHUNK, lo * (MAX_NATURAL // x)), r_max + 1)
+        edges.append(lo)
+    for r in {e + step for e in edges for step in (-1, 0, 1)}:
+        if r <= r_max:
+            assert floor_sum(x, r) == prefix[r]
+
+
+def test_divisor_summatory_at_max_x_in_bounded_time(deadline):
+    # the value agrees with lattice_count(MAX_X) and with flat int64 chunks of
+    # MAX_NATURAL // x = 40 terms; on a 2-core Xeon those take about 40 s and
+    # geometric chunks about 2.3 s
+    with deadline(30.0):
+        assert divisor_summatory(MAX_X) == 9032947277897432256
+
+
+def test_divisor_summatory_matches_lattice_count_at_float_x():
+    # FLOAT_X takes the float path and FLOAT_X + 1 the int64 one; the lattice
+    # count gains tau(m) points from m - 1 to m
+    count = lattice_count(FLOAT_X)
+    assert divisor_summatory(FLOAT_X) == count
+    assert divisor_summatory(FLOAT_X + 1) == count + tau_by_trial_division(FLOAT_X + 1)

@@ -19,16 +19,34 @@ identity  folds the same inner count into the divisor summatory function,
           the production evaluator.  It splits the d at one table limit
           per process, L = min(TABLE_CAP, sieve cap): with
           d0 = isqrt(N // (L + 1)) + 1, every d >= d0 has
-          floor(N / d^2) <= L.  Those many small terms are read from one
-          divisor table of L entries by a numpy gather, CHUNK values of d
-          at a time; the d0 - 1 large terms each call divisor_summatory.
-          For N <= L, d0 = 1 and S(N) is a single gather of sqrt(N)
-          entries.  The table is built on the first call for each L and
-          kept for the life of the process, so a lowered sieve cap picks
-          its own table; every later call only reads it.
-          About sqrt(N) log(d0) numpy floor-sum steps plus sqrt(N) gathers
-          per call.  Any L >= 1 gives the same integer; L only moves the
-          cost between the two halves.
+          floor(N / d^2) <= L.  The d fall into three ranges:
+
+          d < ds        one divisor_summatory call each; these x =
+                        floor(N / d^2) are at least TILE_X = (CHUNK + 1)^2,
+                        and ds = isqrt(N // TILE_X) + 1.
+          ds <= d < d0  the short rows, with isqrt(x) <= CHUNK: summed many
+                        rows at a time in float64 tiles by
+                        divisor_summatory_tiles.
+          d >= d0       the table half, read from one divisor table of L
+                        entries.  prefix[N // d^2] is gathered with numpy
+                        for d < d1 = (2N)^(1/3), clamped to [d0, sqrt(N) + 1];
+                        the d >= d1 are folded by the hyperbola method on
+                        the d-axis into a sum over m <= N // d1^2 of tau(m)
+                        times the number of d >= d1 with d^2 m <= N.
+
+          While the table half has at most CHUNK terms (at the default cap,
+          N below about 2.7 * 10^8) batching does not pay, so every d < d0
+          calls divisor_summatory and the table half is one gather; for
+          N <= L, d0 = 1 and S(N) is that gather alone.  The table is built
+          on the first call for each L and kept for the life of the process,
+          so a lowered sieve cap picks its own table; every later call only
+          reads it.  A call costs about sqrt(N) log(d0) exact floor
+          quotients, in ds - 1 divisor_summatory calls and about
+          sqrt(N) log(d0 / ds) / CHUNK tiles, plus fewer than 2 N^(1/3) table
+          reads in place of sqrt(N).  At N = 10^12 that is 61 calls, 269
+          tiles and about 16000 table reads.  Any L >= 1 and any d1 in
+          [d0, sqrt(N) + 1] give the same integer; they only move the cost
+          between the ranges.
 
 All three agree exactly wherever they are all defined; the test suite
 leans hard on that three-way agreement.
@@ -47,12 +65,13 @@ import threading
 import numpy as np
 
 from .arith import check_natural, check_sieve_limit, sieve_cap, sieve_tau
-from .summatory import CHUNK, _check_domain
+from .summatory import CHUNK, TILE_X, _check_domain
 
 # lemma1 and identity check N once and then call the unchecked kernels.  They
 # are bound under the public names, so a wrapper on this module sees each call.
 from .summatory import _divisor_summatory as divisor_summatory
 from .summatory import _lattice_count as lattice_count
+from .summatory import divisor_summatory_tiles
 
 DEFAULT_BRUTE_CAP = 10**7
 TABLE_CAP = 2**17
@@ -132,22 +151,71 @@ def _build_table_prefix(limit: int) -> np.ndarray:
     return prefix
 
 
+def _isqrt(q: np.ndarray) -> np.ndarray:
+    """math.isqrt of every entry of an int64 array with entries in [0, MAX_X].
+
+    np.sqrt rounds q to a double, then takes the correctly rounded root s.
+    s is never below k = isqrt(q): q >= k^2 rounds to at least
+    k^2 (1 - 2^-53), whose root lies within half a double spacing below k,
+    so it rounds to k or above.  s is below k + 2: both roundings move
+    sqrt(q) < 2^29 by less than 2^-23.  So the truncated s needs only one
+    downward correction, and its square is at most (isqrt(MAX_X) + 1)^2,
+    far below 2^63.
+    """
+    s = np.sqrt(q).astype(np.int64)
+    s -= s * s > q
+    return s
+
+
+def _folded_tail(prefix: np.ndarray, n: int, d1: int) -> int:
+    """sum_{d1 <= d <= isqrt(N)} prefix[N // d^2], counted along the other axis.
+
+    Each term is D(N // d^2), the number of pairs (d, m) with d^2 m <= N and
+    one weight tau(m) per pair.  For a fixed m <= N // d1^2 the d run from d1
+    to isqrt(N // m), so the sum is sum_m tau(m) (isqrt(N // m) - d1 + 1):
+    Dirichlet's hyperbola method on the d-axis.  It needs d0 <= d1 <= isqrt(N)
+    + 1; d1 >= d0 keeps every m inside the table, and the int64 sum is at most
+    isqrt(N) * D(L) < 2^63.
+    """
+    m = n // (d1 * d1)
+    tau = np.diff(prefix[: m + 1])
+    return int((tau * (_isqrt(n // np.arange(1, m + 1, dtype=np.int64)) - (d1 - 1))).sum())
+
+
 def s_identity(n: int) -> int:
     """S(N) as a sum of divisor summatory values; the production path.
 
-    The d with floor(N / d^2) above L = min(TABLE_CAP, sieve cap) call
-    divisor_summatory; the rest are gathered from the table's prefix sums.
+    The d < d0 have floor(N / d^2) above L = min(TABLE_CAP, sieve cap) and
+    evaluate D; the d >= d0 read it from the table's prefix sums.  While the
+    table half fits one CHUNK, every large term is one divisor_summatory
+    call and the table half is one gather.  Past that, divisor_summatory
+    takes only the d < ds, whose floor(N / d^2) >= TILE_X; the d in [ds, d0)
+    go to divisor_summatory_tiles, and the table half is gathered for d < d1
+    and folded for d >= d1.
     """
     _check_summable(n)
     limit = min(TABLE_CAP, sieve_cap())
-    d0 = math.isqrt(n // (limit + 1)) + 1
-    total = sum(divisor_summatory(n // (d * d)) for d in range(1, d0))
     prefix = _table_prefix(limit)
+    d0 = math.isqrt(n // (limit + 1)) + 1
     end = math.isqrt(n) + 1
-    for lo in range(d0, end, CHUNK):
-        d = np.arange(lo, min(lo + CHUNK, end), dtype=np.int64)
+    if end - d0 <= CHUNK:
+        # too few terms for the batched halves to pay: one call per large
+        # term and one gather, as for every N <= L
+        large = sum(divisor_summatory(n // (k * k)) for k in range(1, d0))
+        d = np.arange(d0, end, dtype=np.int64)
+        return large + int(prefix[n // (d * d)].sum())
+    # L < TILE_X, so ds <= d0
+    ds = math.isqrt(n // TILE_X) + 1
+    total = sum(divisor_summatory(n // (d * d)) for d in range(1, ds))
+    for lo in range(ds, d0, CHUNK):
+        d = np.arange(lo, min(lo + CHUNK, d0), dtype=np.int64)
+        total += divisor_summatory_tiles(n // (d * d))
+    # d1 ~ (2N)^(1/3) balances gather and fold; any d1 in [d0, end] gives the same sum
+    d1 = min(max(int((2 * n) ** (1 / 3)), d0), end)
+    for lo in range(d0, d1, CHUNK):
+        d = np.arange(lo, min(lo + CHUNK, d1), dtype=np.int64)
         total += int(prefix[n // (d * d)].sum())
-    return total
+    return total + _folded_tail(prefix, n, d1)
 
 
 def s_upto(m: int) -> np.ndarray:

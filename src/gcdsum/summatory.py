@@ -11,6 +11,8 @@ both coordinates <= sqrt(x) is the part counted twice.  floor_sum evaluates
 the floor sum with numpy in chunks of at most CHUNK terms, in float64 for
 x <= FLOAT_X, the largest x with x * (1 + ln x) <= 2^53, and in int64
 above it.  Both routes are exact; floor_sum's docstring gives the reason.
+divisor_summatory_tiles sums D over many x below TILE_X = (CHUNK + 1)^2 at
+once, packing their short floor sums into float64 tiles of CHUNK entries.
 
 lattice_count evaluates the unfolded floor sum sum_{r<=M} floor(M/r)
 instead, batching the O(sqrt M) maximal ranges of r over which the
@@ -30,7 +32,9 @@ routines without that argument check, for the S(N) evaluators: they check
 N once, and every floor(N / d^2) they pass on is then in the domain.
 """
 
+import bisect
 import math
+import operator
 
 import numpy as np
 
@@ -39,8 +43,9 @@ from .arith import MAX_NATURAL, check_natural
 CHUNK = 2**14
 MAX_X = 225_203_186_528_917_274
 FLOAT_X = 263_334_173_793_272
+TILE_X = (CHUNK + 1) ** 2
 
-# 1..CHUNK as doubles: the first float chunk slices it instead of allocating
+# 1..CHUNK as doubles: the first float chunk and the tiles slice it instead of allocating
 _FIRST_K = np.arange(1, CHUNK + 1, dtype=np.float64)
 _FIRST_K.flags.writeable = False
 
@@ -87,6 +92,49 @@ def floor_sum(x: int, r: int) -> int:
         total += int((x // k).sum())
         lo = hi
     return total
+
+
+def divisor_summatory_tiles(x: np.ndarray) -> int:
+    """Exact sum of D(x_i) over a non-increasing int64 array of 1 <= x_i < TILE_X.
+
+    D(x_i) = 2 * floor_sum(x_i, r_i) - r_i^2 with r_i = isqrt(x_i), and below
+    TILE_X = (CHUNK + 1)^2 every r_i <= CHUNK, so many rows fit in one float64
+    tile of at most CHUNK entries: a run of rows from row i, each more than
+    half as wide as row i, times the columns k = 1..r_i.  x non-increasing
+    makes r_i the widest row of its run, and the half-width rule keeps the
+    padding that the narrower rows divide for nothing below half the tile.
+    Each tile is divided and floored in place in one buffer, which this call
+    allocates, so concurrent calls share nothing.  The tile is summed
+    plainly, then its ragged masked tail is subtracted: the entries with
+    k > r_j, all past the width of its last row.
+
+    Exactness: x_i < 2^29, so float sqrt gives isqrt(x_i) exactly.  A square
+    x_i has an exact root; any other x_i has sqrt(x_i) more than
+    1/(2 (r_i + 1)) > 2^-16 below r_i + 1, far more than the rounding error of
+    at most 2^-39.  floor(x_i / k) is exact by floor_sum's argument.  Every
+    entry is below 2^29 and a tile has at most 2^14 entries, so every partial
+    sum in a tile is an integer below 2^43, exact in float64.  The tile sums
+    are added up as Python ints.
+    """
+    xf = x.astype(np.float64)
+    r = np.sqrt(xf).astype(np.int64)
+    widths = r.tolist()
+    buf = np.empty(CHUNK)
+    total = 0
+    i, rows = 0, len(widths)
+    while i < rows:
+        w = widths[i]
+        j = min(i + CHUNK // w, bisect.bisect_left(widths, -(w // 2), i, key=operator.neg))
+        v = widths[j - 1]
+        flat = buf[: (j - i) * w]
+        q = flat.reshape(j - i, w)
+        np.divide(xf[i:j, None], _FIRST_K[:w], out=q)
+        np.floor(flat, out=flat)
+        total += int(flat.sum())
+        if v < w:
+            total -= int(q[:, v:].sum(where=_FIRST_K[v:w] > r[i:j, None]))
+        i = j
+    return 2 * total - int(r @ r)
 
 
 def divisor_summatory(x: int) -> int:

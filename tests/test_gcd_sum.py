@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 import sys
@@ -19,7 +20,7 @@ from gcdsum import (
 from gcdsum import gcd_sum, summatory
 from gcdsum.arith import DEFAULT_SIEVE_CAP, MAX_NATURAL
 from gcdsum.gcd_sum import TABLE_CAP, s_upto
-from gcdsum.summatory import MAX_X
+from gcdsum.summatory import CHUNK, MAX_X, TILE_X
 from oracles import common_divisors, s_by_pair_enumeration
 from oracles import tau_by_trial_division as tau
 
@@ -109,14 +110,24 @@ def cold_table():
 
 @pytest.fixture
 def traced_identity(monkeypatch):
-    """traced_identity(n) -> (s_identity(n), the x it passed to divisor_summatory)."""
+    """traced_identity(n) -> (s_identity(n), every x its large-term half evaluated).
+
+    The x are recorded in evaluation order, whether divisor_summatory took
+    them one at a time or divisor_summatory_tiles took them as an array.
+    """
     seen = []
+    tiles = gcd_sum.divisor_summatory_tiles
 
     def record(x):
         seen.append(x)
         return divisor_summatory(x)
 
+    def record_tiles(xs):
+        seen.extend(xs.tolist())
+        return tiles(xs)
+
     monkeypatch.setattr(gcd_sum, "divisor_summatory", record)
+    monkeypatch.setattr(gcd_sum, "divisor_summatory_tiles", record_tiles)
 
     def run(n):
         seen.clear()
@@ -208,6 +219,89 @@ def test_identity_where_the_first_term_leaves_the_table(monkeypatch, traced_iden
         assert traced_identity(n) == (s_lemma1(n), expected), n
 
 
+def test_identity_where_the_tiles_start(monkeypatch, traced_identity):
+    # ds = isqrt(N // TILE_X) + 1 moves at N = d^2 TILE_X: only the x >= TILE_X
+    # call divisor_summatory one at a time, the rest of the large terms are tiled
+    limit = _set_cap(monkeypatch, None)
+    per_call = []
+    traced_call = gcd_sum.divisor_summatory
+
+    def record(x):
+        per_call.append(x)
+        return traced_call(x)
+
+    monkeypatch.setattr(gcd_sum, "divisor_summatory", record)
+    for d in (2, 3):
+        for n in (d * d * TILE_X - 1, d * d * TILE_X, d * d * TILE_X + 1):
+            per_call.clear()
+            _check_split(traced_identity, n, limit)
+            ds = math.isqrt(n // TILE_X) + 1
+            assert per_call == [n // (k * k) for k in range(1, ds)], n
+            assert min(per_call) >= TILE_X > n // (ds * ds), n
+
+
+def test_batched_halves_start_where_the_gather_needs_two_chunks(monkeypatch):
+    # below the first N whose gather of d >= d0 exceeds CHUNK terms, s_identity
+    # takes the one-call-per-term, one-gather path; from it on, tiles and fold
+    _set_cap(monkeypatch, None)
+    k = next(k for k in itertools.count(CHUNK)
+             if k - math.isqrt(k * k // (TABLE_CAP + 1)) > CHUNK)
+    used = []
+    tiles, fold = gcd_sum.divisor_summatory_tiles, gcd_sum._folded_tail
+
+    def record_tiles(xs):
+        used.append("tiles")
+        return tiles(xs)
+
+    def record_fold(*args):
+        used.append("fold")
+        return fold(*args)
+
+    monkeypatch.setattr(gcd_sum, "divisor_summatory_tiles", record_tiles)
+    monkeypatch.setattr(gcd_sum, "_folded_tail", record_fold)
+    for n in (TABLE_CAP, 10**6, 10**8, k * k - 1):
+        assert s_identity(n) == s_lemma1(n) and used == [], n
+    assert s_identity(k * k) == s_lemma1(k * k)
+    assert used == ["tiles", "fold"]
+
+
+@pytest.mark.parametrize("cap", ["10", "100", "1000"])
+def test_folded_tail_matches_the_gather_for_every_d1(monkeypatch, cap):
+    limit = _set_cap(monkeypatch, cap)
+    prefix = gcd_sum._table_prefix(limit)
+    for n in range(1, 3001):
+        r = math.isqrt(n)
+        d0 = math.isqrt(n // (limit + 1)) + 1
+        # tail[d1 - d0] = sum_{d1 <= d <= r} prefix[n // d^2], the plain gather
+        terms = [int(prefix[n // (d * d)]) for d in range(d0, r + 1)]
+        tail = list(itertools.accumulate(reversed(terms), initial=0))[::-1]
+        for d1 in range(d0, r + 2):
+            assert gcd_sum._folded_tail(prefix, n, d1) == tail[d1 - d0], (n, d1)
+
+
+@pytest.fixture(scope="module")
+def lemma1_at_seeded_n():
+    rng = random.Random(1010)
+    return {n: s_lemma1(n) for n in (rng.randrange(5 * 10**8, 2 * 10**9) for _ in range(10))}
+
+
+@pytest.mark.parametrize("cap", ["10", "1000", None], ids=["cap10", "cap1000", "default_cap"])
+def test_identity_on_seeded_n_with_tiles_and_fold(monkeypatch, lemma1_at_seeded_n, cap):
+    _set_cap(monkeypatch, cap)
+    for n, value in lemma1_at_seeded_n.items():
+        assert s_identity(n) == value, n
+
+
+def test_vectorized_isqrt_matches_math_isqrt():
+    # 2^26 and 2^26.5 bracket 2^52 and 2^53, where q stops being an exact double
+    ks = [2**26 + e for e in range(-2, 3)] + [94906265 + e for e in range(-2, 3)]
+    ks.append(math.isqrt(MAX_X))
+    q = [v for k in ks for v in (k * k - 1, k * k, k * k + 1) if v <= MAX_X]
+    q += random.Random(2718).choices(range(MAX_X + 1), k=10**4) + [0, 1, MAX_X]
+    got = gcd_sum._isqrt(np.array(q, dtype=np.int64))
+    assert got.tolist() == [math.isqrt(v) for v in q]
+
+
 def test_identity_builds_one_table_per_process(table_builds, monkeypatch):
     _set_cap(monkeypatch, None)
     for n in range(1, 3001):
@@ -240,7 +334,9 @@ def test_identity_threads_on_a_cold_table(table_builds, monkeypatch):
     # each trial starts 4 threads on an empty cache: the lock must let
     # exactly one of them build the table, and every result must match
     _set_cap(monkeypatch, None)
-    ns = list(range(1, 2001)) + [10**6 + k for k in range(40)] + [10**10 + 1]
+    # the last three take the tiles and the fold, each call with its own buffer
+    ns = (list(range(1, 2001)) + [10**6 + k for k in range(40)]
+          + [10**10 + 1, 10**9 + 7, 10**12 + 1])
     serial = [s_identity(n) for n in ns]
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)

@@ -8,7 +8,7 @@ import pytest
 
 from gcdsum import divisor_summatory, lattice_count, sieve_tau, summatory
 from gcdsum.arith import MAX_NATURAL
-from gcdsum.summatory import CHUNK, FLOAT_X, MAX_X, floor_sum
+from gcdsum.summatory import CHUNK, FLOAT_X, MAX_X, TILE_X, divisor_summatory_tiles, floor_sum
 from oracles import lattice_by_enumeration, tau_by_enumeration, tau_by_trial_division
 
 
@@ -174,3 +174,39 @@ def test_divisor_summatory_matches_lattice_count_at_float_x():
     count = lattice_count(FLOAT_X)
     assert divisor_summatory(FLOAT_X) == count
     assert divisor_summatory(FLOAT_X + 1) == count + tau_by_trial_division(FLOAT_X + 1)
+
+
+def _tile_rows(hi, lo, rows, seed):
+    """rows seeded x in [lo, hi], sorted non-increasing, with both ends included."""
+    rng = np.random.default_rng(seed)
+    x = np.concatenate([[hi, lo], rng.integers(lo, hi + 1, rows - 2)])
+    return np.sort(x)[::-1].astype(np.int64)
+
+
+@pytest.mark.parametrize("x", [
+    # r = 1: one full tile of CHUNK rows, then a last tile of 5 rows
+    _tile_rows(3, 1, CHUNK + 5, 1),
+    # r = CHUNK - 1 and r = CHUNK: one-row tiles, of CHUNK entries for r = CHUNK
+    _tile_rows(CHUNK * CHUNK - 1, (CHUNK - 1) ** 2, 3, 2),
+    _tile_rows(TILE_X - 1, CHUNK * CHUNK, 3, 3),
+    np.array([TILE_X - 1, CHUNK * CHUNK, CHUNK * CHUNK - 1], dtype=np.int64),
+    # r = 128 on every row: 128 rows fill a tile of exactly CHUNK entries
+    _tile_rows(129 * 129 - 1, 128 * 128, 128, 4),
+    _tile_rows(129 * 129 - 1, 128 * 128, 300, 5),
+    # ragged tiles: the rows of s_identity(10^12) and of a steeper range
+    np.array([10**12 // (d * d) for d in range(62, 2763)], dtype=np.int64),
+    np.array([10**8 // (d * d) for d in range(1, 60)], dtype=np.int64),
+    _tile_rows(TILE_X - 1, 1, 500, 6),
+], ids=["r1", "r_chunk_minus_1", "r_chunk", "r_chunk_edges", "full_tile", "r128",
+        "rows_of_1e12", "rows_of_1e8", "mixed"])
+def test_tiles_match_per_call_divisor_summatory(x):
+    assert divisor_summatory_tiles(x) == sum(divisor_summatory(v) for v in x.tolist())
+
+
+def test_float_sqrt_is_isqrt_below_tile_x():
+    # the tiles take r = floor(sqrt(x)) in float64; check it at every square edge
+    k = np.arange(1, CHUNK + 2, dtype=np.int64)
+    x = np.concatenate([k * k - 1, k * k, k * k + 1])
+    x = x[x < TILE_X]
+    r = np.sqrt(x.astype(np.float64)).astype(np.int64)
+    assert r.tolist() == [math.isqrt(v) for v in x.tolist()]

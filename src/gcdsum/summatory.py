@@ -9,8 +9,9 @@ divisor r.  Folding that count about the diagonal r = s gives
 because every point has min(r, s) <= sqrt(x), and the square block with
 both coordinates <= sqrt(x) is the part counted twice.  floor_sum evaluates
 the floor sum with numpy in chunks of at most CHUNK terms, in float64 for
-x <= FLOAT_X, the largest x with x * (1 + ln x) <= 2^53, and in int64
-above it.  Both routes are exact; floor_sum's docstring gives the reason.
+x < 2^53 and in int64 otherwise.  The chunks grow geometrically from k = 1 so
+that no chunk's sum can exceed 2^53 or 2^63 - 1; floor_sum's docstring
+gives the proof.
 divisor_summatory_tiles sums D over many x below TILE_X = (CHUNK + 1)^2 at
 once, packing their short floor sums into float64 tiles of CHUNK entries.
 
@@ -42,7 +43,6 @@ from .arith import MAX_NATURAL, check_natural
 
 CHUNK = 2**14
 MAX_X = 225_203_186_528_917_274
-FLOAT_X = 263_334_173_793_272
 TILE_X = (CHUNK + 1) ** 2
 
 # 1..CHUNK as doubles: the first float chunk and the tiles slice it instead of allocating
@@ -62,34 +62,33 @@ def _check_domain(x: int, name: str) -> None:
 def floor_sum(x: int, r: int) -> int:
     """Exact sum_{k=1..r} x // k for 0 <= x <= 2^63 - 1, as a Python int.
 
-    For x <= FLOAT_X each chunk divides in float64 and floors.  x < 2^53 and
-    k are exact doubles, so x/k is correctly rounded, with an error of at
-    most (x/k) * 2^-53 < 1/k.  A non-integer x/k lies at least 1/k below the
-    next integer, so floor never rounds up, and an integer x/k is exact.
-    Every partial sum of a chunk is a sum of nonnegative integers no larger
-    than D(x) <= x * (1 + ln x) <= 2^53, so the float64 sum is exact too.
+    Each chunk [lo, hi) of k has hi - lo <= min(CHUNK, lo * (B // x)).  For
+    x < 2^53 it divides in float64 and floors, with B = 2^53; otherwise it
+    floor-divides in int64, with B = MAX_NATURAL = 2^63 - 1.
 
-    For x > FLOAT_X each chunk [lo, hi) floor-divides in int64, with
-    hi - lo <= min(CHUNK, lo * (MAX_NATURAL // x)).  Every term is at most
-    x / lo, so no chunk's sum can wrap; only the first few chunks are short.
+    Float quotients: x < 2^53 and k are exact doubles, so x/k is correctly
+    rounded, with an error of at most (x/k) * 2^-53 < 1/k.  A non-integer x/k
+    lies at least 1/k below the next integer, so floor never rounds up, and
+    an integer x/k is exact.
 
-    The chunk sums are added up as Python ints.
+    Chunk sums: every term of [lo, hi) is at most x / lo, so the chunk's sum,
+    and every partial sum of it, is an integer of at most
+    (hi - lo) * x / lo <= (B // x) * x <= B.  That is exact in float64 for
+    B = 2^53 and cannot wrap in int64 for B = 2^63 - 1.  Only the first few
+    chunks are short.  The chunk sums are added up as Python ints.
     """
-    total = 0
-    if x <= FLOAT_X:
-        for lo in range(1, r + 1, CHUNK):
-            hi = min(lo + CHUNK, r + 1)
+    use_float = x < 2**53
+    per_lo = (2**53 if use_float else MAX_NATURAL) // max(x, 1)
+    total, lo = 0, 1
+    while lo <= r:
+        hi = min(lo + min(CHUNK, lo * per_lo), r + 1)
+        if use_float:
             k = _FIRST_K[: hi - lo] if lo == 1 else np.arange(lo, hi, dtype=np.float64)
             q = np.divide(float(x), k)
             np.floor(q, out=q)
-            total += int(q.sum())
-        return total
-    per_lo = MAX_NATURAL // x
-    lo = 1
-    while lo <= r:
-        hi = min(lo + min(CHUNK, lo * per_lo), r + 1)
-        k = np.arange(lo, hi, dtype=np.int64)
-        total += int((x // k).sum())
+        else:
+            q = x // np.arange(lo, hi, dtype=np.int64)
+        total += int(q.sum())
         lo = hi
     return total
 
@@ -111,10 +110,10 @@ def divisor_summatory_tiles(x: np.ndarray) -> int:
     Exactness: x_i < 2^29, so float sqrt gives isqrt(x_i) exactly.  A square
     x_i has an exact root; any other x_i has sqrt(x_i) more than
     1/(2 (r_i + 1)) > 2^-16 below r_i + 1, far more than the rounding error of
-    at most 2^-39.  floor(x_i / k) is exact by floor_sum's argument.  Every
-    entry is below 2^29 and a tile has at most 2^14 entries, so every partial
-    sum in a tile is an integer below 2^43, exact in float64.  The tile sums
-    are added up as Python ints.
+    at most 2^-39.  Since x_i < 2^53, floor(x_i / k) is exact, as floor_sum
+    shows.  Every entry is below 2^29 and a tile has at most 2^14 entries, so
+    every partial sum in a tile is an integer below 2^43, exact in float64.
+    The tile sums are added up as Python ints.
     """
     xf = x.astype(np.float64)
     r = np.sqrt(xf).astype(np.int64)

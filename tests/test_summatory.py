@@ -8,8 +8,11 @@ import pytest
 
 from gcdsum import divisor_summatory, lattice_count, sieve_tau, summatory
 from gcdsum.arith import MAX_NATURAL
-from gcdsum.summatory import CHUNK, FLOAT_X, MAX_X, TILE_X, divisor_summatory_tiles, floor_sum
-from oracles import lattice_by_enumeration, tau_by_enumeration, tau_by_trial_division
+from gcdsum.summatory import CHUNK, MAX_X, TILE_X, divisor_summatory_tiles, floor_sum
+from oracles import lattice_by_enumeration, tau_by_enumeration
+
+# the float route takes every x below 2^53
+FLOAT_TOP = 2**53 - 1
 
 
 def test_divisor_summatory_examples():
@@ -75,11 +78,6 @@ def test_max_x_is_the_largest_x_whose_bound_fits():
     assert 10**16 < MAX_X
 
 
-def test_float_x_is_the_largest_x_whose_bound_fits_a_double():
-    assert _bound(FLOAT_X) <= 2**53 < _bound(FLOAT_X + 1)
-    assert 10**14 < FLOAT_X < 2**53
-
-
 @pytest.mark.parametrize("fn", [divisor_summatory, lattice_count])
 def test_arguments_past_max_x_are_refused_before_the_loop(deadline, fn):
     for x in (MAX_X + 1, MAX_NATURAL):
@@ -117,12 +115,12 @@ def test_divisor_summatory_returns_python_int():
 
 
 def test_float_quotients_floor_exactly_up_to_float_x():
-    # x = k * floor(FLOAT_X / k) divides exactly; x - 1 puts x/k 1/k below an
-    # integer, the closest a non-integer quotient gets to rounding up
+    # x = k * floor(FLOAT_TOP / k) divides exactly; x - 1 puts x/k 1/k below
+    # an integer, the closest a non-integer quotient gets to rounding up
     rng = np.random.default_rng(9009)
-    k = np.concatenate([rng.integers(1, math.isqrt(FLOAT_X) + 1, 10**4),
-                        rng.integers(1, FLOAT_X + 1, 10**4)])
-    for x in (k * (FLOAT_X // k), k * (FLOAT_X // k) - 1):
+    k = np.concatenate([rng.integers(1, math.isqrt(FLOAT_TOP) + 1, 10**4),
+                        rng.integers(1, FLOAT_TOP + 1, 10**4)])
+    for x in (k * (FLOAT_TOP // k), k * (FLOAT_TOP // k) - 1):
         q = np.floor(np.divide(x.astype(np.float64), k.astype(np.float64)))
         assert np.array_equal(q.astype(np.int64), x // k)
 
@@ -139,21 +137,27 @@ def _prefix_sums(x, r):
     return [0, *itertools.accumulate(x // k for k in range(1, r + 1))]
 
 
-@pytest.mark.parametrize("x", [FLOAT_X - 1, FLOAT_X, FLOAT_X + 1, 2**53 + 1])
+# 263334173793272 is the largest x with x * (1 + ln x) <= 2^53, the last x
+# whose whole D(x) fits a double; the float route ends at 2^53 - 1
+@pytest.mark.parametrize("x", [263334173793271, 263334173793272, 263334173793273,
+                               2**53 - 2, 2**53 - 1, 2**53, 2**53 + 1])
 def test_floor_sum_on_both_sides_of_float_x(x):
     prefix = _prefix_sums(x, 10**5)
     for r in (1, CHUNK - 1, CHUNK, CHUNK + 1, 10**5):
         assert floor_sum(x, r) == prefix[r]
 
 
-@pytest.mark.parametrize("x", [MAX_X, MAX_X - 1, 2**62])
+@pytest.mark.parametrize("x", [MAX_X, MAX_X - 1, 2**62, FLOAT_TOP, 10**15])
 def test_int_chunks_grow_geometrically_without_wrapping(x):
-    # above FLOAT_X a chunk [lo, hi) has hi - lo <= min(CHUNK, lo * (MAX_NATURAL // x))
+    # a chunk [lo, hi) has hi - lo <= min(CHUNK, lo * (B // x)), with B = 2^53
+    # on the float route and MAX_NATURAL on the int64 one; at FLOAT_TOP,
+    # B // x = 1 and the float chunks double from one term
+    per_lo = (2**53 if x <= FLOAT_TOP else MAX_NATURAL) // x
     r_max = 10**5
     prefix = _prefix_sums(x, r_max)
     edges, lo = [], 1
     while lo <= r_max:
-        lo = min(lo + min(CHUNK, lo * (MAX_NATURAL // x)), r_max + 1)
+        lo = min(lo + min(CHUNK, lo * per_lo), r_max + 1)
         edges.append(lo)
     for r in {e + step for e in edges for step in (-1, 0, 1)}:
         if r <= r_max:
@@ -168,12 +172,12 @@ def test_divisor_summatory_at_max_x_in_bounded_time(deadline):
         assert divisor_summatory(MAX_X) == 9032947277897432256
 
 
-def test_divisor_summatory_matches_lattice_count_at_float_x():
-    # FLOAT_X takes the float path and FLOAT_X + 1 the int64 one; the lattice
-    # count gains tau(m) points from m - 1 to m
-    count = lattice_count(FLOAT_X)
-    assert divisor_summatory(FLOAT_X) == count
-    assert divisor_summatory(FLOAT_X + 1) == count + tau_by_trial_division(FLOAT_X + 1)
+def test_divisor_summatory_across_the_float_route_limit():
+    # FLOAT_TOP takes the float route and 2^53 the int64 one; the value at
+    # FLOAT_TOP is lattice_count(FLOAT_TOP), frozen here because it takes
+    # tens of seconds, and D gains tau(2^53) = 54 from 2^53 - 1 to 2^53
+    assert divisor_summatory(FLOAT_TOP) == 332286676471485609
+    assert divisor_summatory(2**53) - divisor_summatory(FLOAT_TOP) == 54
 
 
 def _tile_rows(hi, lo, rows, seed):

@@ -21,9 +21,9 @@ identity  folds the same inner count into the divisor summatory function,
           d0 = isqrt(N // (L + 1)) + 1, every d >= d0 has
           floor(N / d^2) <= L.  The d fall into three ranges:
 
-          d < ds        one divisor_summatory call each; these x =
-                        floor(N / d^2) are at least TILE_X = (CHUNK + 1)^2,
-                        and ds = isqrt(N // TILE_X) + 1.
+          d < ds        one divisor_summatory_batch call for all of them;
+                        these x = floor(N / d^2) are at least
+                        TILE_X = (CHUNK + 1)^2, and ds = isqrt(N // TILE_X) + 1.
           ds <= d < d0  the short rows, with isqrt(x) <= CHUNK: summed many
                         rows at a time in float64 tiles by
                         divisor_summatory_tiles.
@@ -35,18 +35,21 @@ identity  folds the same inner count into the divisor summatory function,
                         times the number of d >= d1 with d^2 m <= N.
 
           While the table half has at most CHUNK terms (at the default cap,
-          N below about 2.7 * 10^8) batching does not pay, so every d < d0
-          calls divisor_summatory and the table half is one gather; for
-          N <= L, d0 = 1 and S(N) is that gather alone.  The table is built
-          on the first call for each L and kept for the life of the process,
-          so a lowered sieve cap picks its own table; every later call only
-          reads it.  A call costs about sqrt(N) log(d0) exact floor
-          quotients, in ds - 1 divisor_summatory calls and about
+          N below about 2.7 * 10^8) the tiles and the fold do not pay, so
+          every d < d0 goes to divisor_summatory_batch and the table half is
+          one gather; for N <= L, d0 = 1 and S(N) is that gather alone.  The
+          table is built on the first call for each L and kept for the life
+          of the process, so a lowered sieve cap picks its own table; every
+          later call only reads it.  A call costs about sqrt(N) log(d0) exact
+          floor quotients, in one batch of ds - 1 rows and about
           sqrt(N) log(d0 / ds) / CHUNK tiles, plus fewer than 2 N^(1/3) table
-          reads in place of sqrt(N).  At N = 10^12 that is 61 calls, 269
-          tiles and about 16000 table reads.  Any L >= 1 and any d1 in
-          [d0, sqrt(N) + 1] give the same integer; they only move the cost
-          between the ranges.
+          reads in place of sqrt(N).  The batch runs over sqrt(N) / CHUNK
+          chunks of k and builds one chunk of reciprocals for each chunk after
+          the first that two of its rows below RECIP_X reach.  At N = 10^12
+          that is one batch of 61 rows in 62 chunks, 30 of them with
+          reciprocals built, 269 tiles and about 16000 table reads.  Any
+          L >= 1 and any d1 in [d0, sqrt(N) + 1] give the same integer; they
+          only move the cost between the ranges.
 
 All three agree exactly wherever they are all defined; the test suite
 leans hard on that three-way agreement.
@@ -69,9 +72,9 @@ from .summatory import CHUNK, TILE_X, _check_domain
 
 # lemma1 and identity check N once and then call the unchecked kernels.  They
 # are bound under the public names, so a wrapper on this module sees each call.
-from .summatory import _divisor_summatory as divisor_summatory
+# divisor_summatory is bound for perfbench/tracer.py, which wraps it by name.
 from .summatory import _lattice_count as lattice_count
-from .summatory import divisor_summatory_tiles
+from .summatory import divisor_summatory, divisor_summatory_batch, divisor_summatory_tiles
 
 DEFAULT_BRUTE_CAP = 10**7
 TABLE_CAP = 2**17
@@ -187,11 +190,11 @@ def s_identity(n: int) -> int:
 
     The d < d0 have floor(N / d^2) above L = min(TABLE_CAP, sieve cap) and
     evaluate D; the d >= d0 read it from the table's prefix sums.  While the
-    table half fits one CHUNK, every large term is one divisor_summatory
-    call and the table half is one gather.  Past that, divisor_summatory
-    takes only the d < ds, whose floor(N / d^2) >= TILE_X; the d in [ds, d0)
-    go to divisor_summatory_tiles, and the table half is gathered for d < d1
-    and folded for d >= d1.
+    table half fits one CHUNK, every large term goes to one
+    divisor_summatory_batch call and the table half is one gather.  Past
+    that, the batch takes only the d < ds, whose floor(N / d^2) >= TILE_X;
+    the d in [ds, d0) go to divisor_summatory_tiles, and the table half is
+    gathered for d < d1 and folded for d >= d1.
     """
     _check_summable(n)
     limit = min(TABLE_CAP, sieve_cap())
@@ -199,14 +202,14 @@ def s_identity(n: int) -> int:
     d0 = math.isqrt(n // (limit + 1)) + 1
     end = math.isqrt(n) + 1
     if end - d0 <= CHUNK:
-        # too few terms for the batched halves to pay: one call per large
-        # term and one gather, as for every N <= L
-        large = sum(divisor_summatory(n // (k * k)) for k in range(1, d0))
+        # too few terms for the tiles and the fold to pay: every large term
+        # goes to the batch and the table half is one gather, as for N <= L
+        large = divisor_summatory_batch([n // (k * k) for k in range(1, d0)])
         d = np.arange(d0, end, dtype=np.int64)
         return large + int(prefix[n // (d * d)].sum())
     # L < TILE_X, so ds <= d0
     ds = math.isqrt(n // TILE_X) + 1
-    total = sum(divisor_summatory(n // (d * d)) for d in range(1, ds))
+    total = divisor_summatory_batch([n // (d * d) for d in range(1, ds)])
     for lo in range(ds, d0, CHUNK):
         d = np.arange(lo, min(lo + CHUNK, d0), dtype=np.int64)
         total += divisor_summatory_tiles(n // (d * d))

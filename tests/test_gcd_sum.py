@@ -20,7 +20,7 @@ from gcdsum import (
 from gcdsum import gcd_sum, summatory
 from gcdsum.arith import DEFAULT_SIEVE_CAP, MAX_NATURAL
 from gcdsum.gcd_sum import TABLE_CAP, s_upto
-from gcdsum.summatory import CHUNK, MAX_X, TILE_X
+from gcdsum.summatory import CHUNK, MAX_X, RECIP_X, TILE_X
 from oracles import common_divisors, s_by_pair_enumeration
 from oracles import tau_by_trial_division as tau
 
@@ -112,21 +112,21 @@ def cold_table():
 def traced_identity(monkeypatch):
     """traced_identity(n) -> (s_identity(n), every x its large-term half evaluated).
 
-    The x are recorded in evaluation order, whether divisor_summatory took
-    them one at a time or divisor_summatory_tiles took them as an array.
+    The x are recorded in evaluation order, whether divisor_summatory_batch
+    took them as a list or divisor_summatory_tiles took them as an array.
     """
     seen = []
-    tiles = gcd_sum.divisor_summatory_tiles
+    batch, tiles = gcd_sum.divisor_summatory_batch, gcd_sum.divisor_summatory_tiles
 
-    def record(x):
-        seen.append(x)
-        return divisor_summatory(x)
+    def record(xs):
+        seen.extend(xs)
+        return batch(xs)
 
     def record_tiles(xs):
         seen.extend(xs.tolist())
         return tiles(xs)
 
-    monkeypatch.setattr(gcd_sum, "divisor_summatory", record)
+    monkeypatch.setattr(gcd_sum, "divisor_summatory_batch", record)
     monkeypatch.setattr(gcd_sum, "divisor_summatory_tiles", record_tiles)
 
     def run(n):
@@ -213,7 +213,7 @@ def test_identity_where_split_point_moves(monkeypatch, traced_identity):
 @pytest.mark.parametrize("cap", ["1000", None])
 def test_identity_where_the_first_term_leaves_the_table(monkeypatch, traced_identity, cap):
     limit = _set_cap(monkeypatch, cap)
-    # N <= L is one gather; from L + 1 on, d = 1 calls divisor_summatory
+    # N <= L is one gather; from L + 1 on, d = 1 goes to divisor_summatory_batch
     for n, expected in ((limit - 1, []), (limit, []), (limit + 1, [limit + 1]),
                         (limit + 2, [limit + 2])):
         assert traced_identity(n) == (s_lemma1(n), expected), n
@@ -221,23 +221,23 @@ def test_identity_where_the_first_term_leaves_the_table(monkeypatch, traced_iden
 
 def test_identity_where_the_tiles_start(monkeypatch, traced_identity):
     # ds = isqrt(N // TILE_X) + 1 moves at N = d^2 TILE_X: only the x >= TILE_X
-    # call divisor_summatory one at a time, the rest of the large terms are tiled
+    # go to divisor_summatory_batch, in one call; the rest of the large terms are tiled
     limit = _set_cap(monkeypatch, None)
-    per_call = []
-    traced_call = gcd_sum.divisor_summatory
+    batches = []
+    traced_batch = gcd_sum.divisor_summatory_batch
 
-    def record(x):
-        per_call.append(x)
-        return traced_call(x)
+    def record(xs):
+        batches.append(xs)
+        return traced_batch(xs)
 
-    monkeypatch.setattr(gcd_sum, "divisor_summatory", record)
+    monkeypatch.setattr(gcd_sum, "divisor_summatory_batch", record)
     for d in (2, 3):
         for n in (d * d * TILE_X - 1, d * d * TILE_X, d * d * TILE_X + 1):
-            per_call.clear()
+            batches.clear()
             _check_split(traced_identity, n, limit)
             ds = math.isqrt(n // TILE_X) + 1
-            assert per_call == [n // (k * k) for k in range(1, ds)], n
-            assert min(per_call) >= TILE_X > n // (ds * ds), n
+            assert batches == [[n // (k * k) for k in range(1, ds)]], n
+            assert min(batches[0]) >= TILE_X > n // (ds * ds), n
 
 
 def test_batched_halves_start_where_the_gather_needs_two_chunks(monkeypatch):
@@ -338,6 +338,10 @@ def test_identity_threads_on_a_cold_table(table_builds, monkeypatch):
     ns = (list(range(1, 2001)) + [10**6 + k for k in range(40)]
           + [10**10 + 1, 10**9 + 7, 10**12 + 1])
     serial = [s_identity(n) for n in ns]
+    # and every thread runs the batched kernel on rows of all three routes
+    rows = [2**53 + 1, 2**53 - 1, RECIP_X, RECIP_X - 1, RECIP_X - 2, 10**12, 10**12 - 1]
+    widths = [3 * CHUNK] * 3 + [2 * CHUNK] * 4
+    serial_rows = summatory.floor_sum(rows, widths)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -345,12 +349,14 @@ def test_identity_threads_on_a_cold_table(table_builds, monkeypatch):
             gcd_sum._build_table_prefix.cache_clear()
             table_builds.clear()
             results = [None] * len(ns)
+            row_results = [None] * 4
             start = threading.Barrier(4)
 
             def work(i):
                 start.wait()
                 for j in range(i, len(ns), 4):
                     results[j] = s_identity(ns[j])
+                row_results[i] = summatory.floor_sum(rows, widths)
 
             threads = [threading.Thread(target=work, args=(i,)) for i in range(4)]
             for t in threads:
@@ -359,6 +365,7 @@ def test_identity_threads_on_a_cold_table(table_builds, monkeypatch):
                 t.join(timeout=60)
             assert not any(t.is_alive() for t in threads), trial
             assert results == serial, trial
+            assert row_results == [serial_rows] * 4, trial
             assert table_builds == [TABLE_CAP], trial
     finally:
         sys.setswitchinterval(interval)
@@ -369,7 +376,7 @@ def test_evaluators_refuse_past_max_x_up_front(monkeypatch, deadline, evaluator)
     def never(x):
         raise AssertionError(f"kernel called with {x}")
 
-    monkeypatch.setattr(gcd_sum, "divisor_summatory", never)
+    monkeypatch.setattr(gcd_sum, "divisor_summatory_batch", never)
     monkeypatch.setattr(gcd_sum, "lattice_count", never)
     for n in (MAX_X + 1, MAX_NATURAL):
         with deadline(1.0), pytest.raises(OverflowError, match="MAX_X"):

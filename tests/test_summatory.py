@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -8,7 +9,15 @@ import pytest
 
 from gcdsum import divisor_summatory, lattice_count, sieve_tau, summatory
 from gcdsum.arith import MAX_NATURAL
-from gcdsum.summatory import CHUNK, MAX_X, TILE_X, divisor_summatory_tiles, floor_sum
+from gcdsum.summatory import (
+    CHUNK,
+    MAX_X,
+    RECIP_X,
+    TILE_X,
+    divisor_summatory_batch,
+    divisor_summatory_tiles,
+    floor_sum,
+)
 from oracles import lattice_by_enumeration, tau_by_enumeration
 
 # the float route takes every x below 2^53
@@ -99,13 +108,13 @@ def test_floor_sum_chunks_cannot_wrap(x):
     # a few terms near 2^63 already overflow an int64 sum, so the chunks
     # must shrink to MAX_NATURAL // x terms
     for r in (1, 2, 7, 100):
-        assert floor_sum(x, r) == sum(x // k for k in range(1, r + 1))
+        assert floor_sum([x], [r]) == [sum(x // k for k in range(1, r + 1))]
 
 
 def test_floor_sum_across_chunk_boundaries():
     x = 10**12
     for r in (CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 5):
-        assert floor_sum(x, r) == sum(x // k for k in range(1, r + 1))
+        assert floor_sum([x], [r]) == [sum(x // k for k in range(1, r + 1))]
 
 
 def test_divisor_summatory_returns_python_int():
@@ -125,12 +134,50 @@ def test_float_quotients_floor_exactly_up_to_float_x():
         assert np.array_equal(q.astype(np.int64), x // k)
 
 
-def test_first_float_chunk_is_read_only():
-    k = summatory._FIRST_K
-    assert k.dtype == np.float64
-    assert np.array_equal(k, np.arange(1, CHUNK + 1))
+def test_reciprocal_table_is_read_only():
+    recip = summatory._RECIP
+    assert recip.dtype == np.float64
+    assert np.array_equal(recip, summatory._reciprocals(np.arange(1, CHUNK + 1, dtype=np.float64)))
     with pytest.raises(ValueError):
-        k[0] = 2.0
+        recip[0] = 2.0
+
+
+# e bounds the relative excess of fl(x * r_k) over x/k: three roundings of at
+# most 2^-53 each, and the bump of 2^-50
+EXCESS = (1 + Fraction(1, 2**53)) ** 3 * (1 + Fraction(1, 2**50)) - 1
+
+
+def test_recip_x_is_the_largest_x_whose_excess_stays_below_one():
+    assert RECIP_X * EXCESS < 1 <= (RECIP_X + 1) * EXCESS
+    # the tiles multiply, and the d >= 2 rows of N = 10^15 too, but not d = 1
+    assert TILE_X < 10**15 // 4 < RECIP_X < 10**15
+
+
+def test_reciprocals_are_bumped_above_one_over_k():
+    # every k of the table, and chunks of k sampled up to isqrt(RECIP_X)
+    rng = np.random.default_rng(5150)
+    top = math.isqrt(RECIP_X)
+    starts = [*rng.integers(CHUNK, top - CHUNK, 3).tolist(), top - CHUNK + 1]
+    ks = [np.arange(1, CHUNK + 1, dtype=np.float64)]
+    ks += [np.arange(lo, lo + CHUNK, dtype=np.float64) for lo in starts]
+    floor = 1 + Fraction(1, 2**51)
+    for k in ks:
+        recip = summatory._reciprocals(k)
+        for kk, rk in zip(k.tolist(), recip.tolist()):
+            assert Fraction(rk) * int(kk) >= floor, kk
+
+
+def test_reciprocal_products_floor_exactly_below_recip_x():
+    # x = k * floor(X / k) divides exactly and x - 1 puts x/k 1/k below an
+    # integer, the closest a non-integer quotient gets to rounding up
+    top = RECIP_X - 1
+    rng = np.random.default_rng(8128)
+    k = np.concatenate([rng.integers(1, math.isqrt(top) + 1, 10**4),
+                        rng.integers(1, top + 1, 10**4)])
+    recip = summatory._reciprocals(k.astype(np.float64))
+    for x in (k * (top // k), k * (top // k) - 1):
+        q = np.floor(x.astype(np.float64) * recip)
+        assert np.array_equal(q.astype(np.int64), x // k)
 
 
 def _prefix_sums(x, r):
@@ -138,30 +185,35 @@ def _prefix_sums(x, r):
 
 
 # 263334173793272 is the largest x with x * (1 + ln x) <= 2^53, the last x
-# whose whole D(x) fits a double; the float route ends at 2^53 - 1
+# whose whole D(x) fits a double; the reciprocal products end at RECIP_X - 1
+# and the float route at 2^53 - 1
 @pytest.mark.parametrize("x", [263334173793271, 263334173793272, 263334173793273,
+                               RECIP_X - 1, RECIP_X, RECIP_X + 1,
                                2**53 - 2, 2**53 - 1, 2**53, 2**53 + 1])
 def test_floor_sum_on_both_sides_of_float_x(x):
+    # one row divides; two rows below RECIP_X share their reciprocals
     prefix = _prefix_sums(x, 10**5)
     for r in (1, CHUNK - 1, CHUNK, CHUNK + 1, 10**5):
-        assert floor_sum(x, r) == prefix[r]
+        assert floor_sum([x], [r]) == [prefix[r]]
+        assert floor_sum([x, x], [r, r]) == [prefix[r]] * 2
 
 
 @pytest.mark.parametrize("x", [MAX_X, MAX_X - 1, 2**62, FLOAT_TOP, 10**15])
 def test_int_chunks_grow_geometrically_without_wrapping(x):
-    # a chunk [lo, hi) has hi - lo <= min(CHUNK, lo * (B // x)), with B = 2^53
-    # on the float route and MAX_NATURAL on the int64 one; at FLOAT_TOP,
-    # B // x = 1 and the float chunks double from one term
-    per_lo = (2**53 if x <= FLOAT_TOP else MAX_NATURAL) // x
+    # a piece [a, b) of the first chunk has b - a <= a * (B // x), with B = 2^53
+    # on the float route and MAX_NATURAL on the int64 one, and the later
+    # pieces are whole chunks of CHUNK terms; at FLOAT_TOP, B // x = 1 and the
+    # float pieces double from one term
+    per_a = (2**53 if x <= FLOAT_TOP else MAX_NATURAL) // x
     r_max = 10**5
     prefix = _prefix_sums(x, r_max)
-    edges, lo = [], 1
-    while lo <= r_max:
-        lo = min(lo + min(CHUNK, lo * per_lo), r_max + 1)
-        edges.append(lo)
+    edges, a = [], 1
+    while a <= r_max:
+        a = min(a + a * per_a, CHUNK + 1) if a <= CHUNK else a + CHUNK
+        edges.append(a)
     for r in {e + step for e in edges for step in (-1, 0, 1)}:
         if r <= r_max:
-            assert floor_sum(x, r) == prefix[r]
+            assert floor_sum([x], [r]) == [prefix[r]]
 
 
 def test_divisor_summatory_at_max_x_in_bounded_time(deadline):
@@ -214,3 +266,26 @@ def test_float_sqrt_is_isqrt_below_tile_x():
     x = x[x < TILE_X]
     r = np.sqrt(x.astype(np.float64)).astype(np.int64)
     assert r.tolist() == [math.isqrt(v) for v in x.tolist()]
+
+
+def _batch(rng, tops, rows):
+    """rows seeded x from [t // 2, 2 t] around each of the tops, non-increasing."""
+    x = [int(v) for t in tops for v in rng.integers(t // 2, 2 * t, rows)]
+    return sorted(x, reverse=True)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_floor_sum_batch_matches_each_row(seed):
+    # rows cross 2^53 and RECIP_X, and reach different numbers of chunks
+    rng = np.random.default_rng(seed)
+    x = _batch(rng, (2**53, RECIP_X, 10**12), 4)
+    r = sorted(rng.integers(1, 3 * CHUNK, len(x)).tolist(), reverse=True)
+    assert floor_sum(x, r) == [sum(v // k for k in range(1, w + 1)) for v, w in zip(x, r)]
+
+
+def test_divisor_summatory_batch_matches_each_row():
+    rng = np.random.default_rng(4242)
+    x = [RECIP_X + 1, RECIP_X, RECIP_X - 1, *_batch(rng, (10**12, 10**8, TILE_X, 10), 3)]
+    assert divisor_summatory_batch(x) == sum(divisor_summatory(v) for v in x)
+    assert divisor_summatory_batch([]) == 0
+    assert divisor_summatory_batch([10**9]) == lattice_count(10**9)

@@ -16,7 +16,7 @@ from mpmath import mpf
 
 from .arith import check_natural
 from .constants import _CTX, default_constants
-from .gcd_sum import Algorithm, s_exact
+from .gcd_sum import Algorithm, check_argument, s_exact
 
 
 class Spacing(enum.Enum):
@@ -103,13 +103,19 @@ def error_scan(spec: ScanSpec,
                algorithm: Algorithm = Algorithm.IDENTITY_SUMMATORY) -> list[ErrorRecord]:
     """One ErrorRecord per grid point, ascending in N.
 
-    Deterministic apart from the elapsed field.  A failure at any grid
+    Deterministic apart from the elapsed field.  Every grid point is checked
+    against the algorithm's limits before the first S(N) is evaluated, so a
+    grid that passes a limit is refused at once.  A failure at any grid
     point is re-raised with the offending N named.
     """
-    records = []
-    for n in spec.grid():
-        try:
-            records.append(error_at(n, algorithm))
-        except (ValueError, OverflowError) as exc:
-            raise type(exc)(f"scan point N={n}: {exc}") from exc
-    return records
+    grid = spec.grid()
+    for n in grid:
+        _at_point(n, check_argument, algorithm)
+    return [_at_point(n, error_at, algorithm) for n in grid]
+
+
+def _at_point(n, fn, algorithm):
+    try:
+        return fn(n, algorithm)
+    except (ValueError, OverflowError) as exc:
+        raise type(exc)(f"scan point N={n}: {exc}") from exc

@@ -19,37 +19,33 @@ identity  folds the same inner count into the divisor summatory function,
           the production evaluator.  It splits the d at one table limit
           per process, L = min(TABLE_CAP, sieve cap): with
           d0 = isqrt(N // (L + 1)) + 1, every d >= d0 has
-          floor(N / d^2) <= L.  The d fall into three ranges:
+          floor(N / d^2) <= L.  The d fall into two ranges:
 
-          d < ds        one divisor_summatory_batch call for all of them;
-                        these x = floor(N / d^2) are at least
-                        TILE_X = (CHUNK + 1)^2, and ds = isqrt(N // TILE_X) + 1.
-          ds <= d < d0  the short rows, with isqrt(x) <= CHUNK: summed many
-                        rows at a time in float64 tiles by
-                        divisor_summatory_tiles.
-          d >= d0       the table half, read from one divisor table of L
-                        entries.  prefix[N // d^2] is gathered with numpy
-                        for d < d1 = (2N)^(1/3), clamped to [d0, sqrt(N) + 1];
-                        the d >= d1 are folded by the hyperbola method on
-                        the d-axis into a sum over m <= N // d1^2 of tau(m)
-                        times the number of d >= d1 with d^2 m <= N.
+          d < d0   the large terms, x = floor(N / d^2) > L: exact D(x) from
+                   divisor_summatory_batch, in blocks of CHUNK values of d.
+          d >= d0  the table half, read from one divisor table of L entries.
+                   prefix[N // d^2] is gathered with numpy for d < d1; the
+                   d >= d1 are folded by the hyperbola method on the d-axis
+                   into a sum over m <= N // d1^2 of tau(m) times the number
+                   of d >= d1 with d^2 m <= N.
 
-          While the table half has at most CHUNK terms (at the default cap,
-          N below about 2.7 * 10^8) the tiles and the fold do not pay, so
-          every d < d0 goes to divisor_summatory_batch and the table half is
-          one gather; for N <= L, d0 = 1 and S(N) is that gather alone.  The
-          table is built on the first call for each L and kept for the life
-          of the process, so a lowered sieve cap picks its own table; every
-          later call only reads it.  A call costs about sqrt(N) log(d0) exact
-          floor quotients, in one batch of ds - 1 rows and about
-          sqrt(N) log(d0 / ds) / CHUNK tiles, plus fewer than 2 N^(1/3) table
-          reads in place of sqrt(N).  The batch runs over sqrt(N) / CHUNK
-          chunks of k and builds one chunk of reciprocals for each chunk after
-          the first that two of its rows below RECIP_X reach.  At N = 10^12
-          that is one batch of 61 rows in 62 chunks, 30 of them with
-          reciprocals built, 269 tiles and about 16000 table reads.  Any
-          L >= 1 and any d1 in [d0, sqrt(N) + 1] give the same integer; they
-          only move the cost between the ranges.
+          d1 = (2N)^(1/3), clamped to [d0, sqrt(N) + 1], balances the gather
+          and the fold.  While the table half has at most CHUNK terms (at
+          the default cap, N below about 2.7 * 10^8) the fold does not pay,
+          so d1 = sqrt(N) + 1 and the table half is one gather; for N <= L,
+          d0 = 1 and S(N) is that gather alone.  The table is built on the
+          first call for each L and kept for the life of the process, so a
+          lowered sieve cap picks its own table; every later call only reads
+          it.  A call costs about sqrt(N) log(d0) exact floor quotients and
+          fewer than 2 N^(1/3) table reads in place of sqrt(N).  The batch
+          sums the first chunk of k of every row below RECIP_X in float64
+          tiles, and runs over sqrt(N) / CHUNK later chunks, building one
+          chunk of reciprocals for each that two of its rows reach.  At
+          N = 10^12 that is 2762 large terms in one block: 330 tiles, 61 of
+          them one row each, and 61 later chunks, 30 of them with
+          reciprocals built; then about 16000 table reads.  Any L >= 1 and
+          any d1 in [d0, sqrt(N) + 1] give the same integer; they only move
+          the cost between the ranges.
 
 All three agree exactly wherever they are all defined; the test suite
 leans hard on that three-way agreement.
@@ -68,13 +64,13 @@ import threading
 import numpy as np
 
 from .arith import check_natural, check_sieve_limit, sieve_cap, sieve_tau
-from .summatory import CHUNK, TILE_X, _check_domain
+from .summatory import CHUNK, _check_domain, _isqrt
 
 # lemma1 and identity check N once and then call the unchecked kernels.  They
 # are bound under the public names, so a wrapper on this module sees each call.
 # divisor_summatory is bound for perfbench/tracer.py, which wraps it by name.
 from .summatory import _lattice_count as lattice_count
-from .summatory import divisor_summatory, divisor_summatory_batch, divisor_summatory_tiles
+from .summatory import divisor_summatory, divisor_summatory_batch
 
 DEFAULT_BRUTE_CAP = 10**7
 TABLE_CAP = 2**17
@@ -88,17 +84,20 @@ class Algorithm(enum.Enum):
     IDENTITY_SUMMATORY = "identity"
 
 
-def _check_positive(n: int) -> int:
+def check_argument(n: int, algorithm: Algorithm) -> None:
+    """Refuse N as s_exact(N, algorithm) does, without evaluating S(N).
+
+    Every evaluator starts with this check.  brute takes 1 <= N <=
+    DEFAULT_BRUTE_CAP; lemma1 and identity take 1 <= N <= MAX_X, so that
+    every floor(N / d^2) is in the kernels' domain.
+    """
     check_natural(n)
     if n == 0:
         raise ValueError("S(N) requires N >= 1")
-    return n
-
-
-def _check_summable(n: int) -> None:
-    """1 <= N <= MAX_X, so that every floor(N / d^2) is in the kernels' domain."""
-    _check_positive(n)
-    _check_domain(n, "N")
+    if algorithm is not Algorithm.BRUTE:
+        _check_domain(n, "N")
+    elif n > DEFAULT_BRUTE_CAP:
+        raise ValueError(f"N={n} exceeds the brute-force cap of {DEFAULT_BRUTE_CAP}")
 
 
 def s_brute(n: int) -> int:
@@ -109,9 +108,7 @@ def s_brute(n: int) -> int:
     block (both coordinates <= isqrt(n)) visits each ordered pair exactly
     once.  Rows run as vectorized gcd + divisor-table gathers.
     """
-    _check_positive(n)
-    if n > DEFAULT_BRUTE_CAP:
-        raise ValueError(f"N={n} exceeds the brute-force cap of {DEFAULT_BRUTE_CAP}")
+    check_argument(n, Algorithm.BRUTE)
     r = math.isqrt(n)
     taus = sieve_tau(r)
     total = 0
@@ -125,7 +122,7 @@ def s_brute(n: int) -> int:
 
 def s_lemma1(n: int) -> int:
     """S(N) as a sum of hyperbola lattice counts, one per d <= sqrt(N)."""
-    _check_summable(n)
+    check_argument(n, Algorithm.LEMMA1_LATTICE)
     return sum(lattice_count(n // (d * d)) for d in range(1, math.isqrt(n) + 1))
 
 
@@ -154,22 +151,6 @@ def _build_table_prefix(limit: int) -> np.ndarray:
     return prefix
 
 
-def _isqrt(q: np.ndarray) -> np.ndarray:
-    """math.isqrt of every entry of an int64 array with entries in [0, MAX_X].
-
-    np.sqrt rounds q to a double, then takes the correctly rounded root s.
-    s is never below k = isqrt(q): q >= k^2 rounds to at least
-    k^2 (1 - 2^-53), whose root lies within half a double spacing below k,
-    so it rounds to k or above.  s is below k + 2: both roundings move
-    sqrt(q) < 2^29 by less than 2^-23.  So the truncated s needs only one
-    downward correction, and its square is at most (isqrt(MAX_X) + 1)^2,
-    far below 2^63.
-    """
-    s = np.sqrt(q).astype(np.int64)
-    s -= s * s > q
-    return s
-
-
 def _folded_tail(prefix: np.ndarray, n: int, d1: int) -> int:
     """sum_{d1 <= d <= isqrt(N)} prefix[N // d^2], counted along the other axis.
 
@@ -188,37 +169,30 @@ def _folded_tail(prefix: np.ndarray, n: int, d1: int) -> int:
 def s_identity(n: int) -> int:
     """S(N) as a sum of divisor summatory values; the production path.
 
-    The d < d0 have floor(N / d^2) above L = min(TABLE_CAP, sieve cap) and
-    evaluate D; the d >= d0 read it from the table's prefix sums.  While the
-    table half fits one CHUNK, every large term goes to one
-    divisor_summatory_batch call and the table half is one gather.  Past
-    that, the batch takes only the d < ds, whose floor(N / d^2) >= TILE_X;
-    the d in [ds, d0) go to divisor_summatory_tiles, and the table half is
-    gathered for d < d1 and folded for d >= d1.
+    The d < d1 run in blocks of CHUNK values of d.  In each block the
+    d < d0, whose floor(N / d^2) exceed L = min(TABLE_CAP, sieve cap), go
+    to divisor_summatory_batch, and the rest are gathered from the table's
+    prefix sums.  The d >= d1 are folded.  While the table half has at most
+    CHUNK terms, d1 = sqrt(N) + 1 and nothing is folded.
     """
-    _check_summable(n)
+    check_argument(n, Algorithm.IDENTITY_SUMMATORY)
     limit = min(TABLE_CAP, sieve_cap())
     prefix = _table_prefix(limit)
     d0 = math.isqrt(n // (limit + 1)) + 1
     end = math.isqrt(n) + 1
-    if end - d0 <= CHUNK:
-        # too few terms for the tiles and the fold to pay: every large term
-        # goes to the batch and the table half is one gather, as for N <= L
-        large = divisor_summatory_batch([n // (k * k) for k in range(1, d0)])
-        d = np.arange(d0, end, dtype=np.int64)
-        return large + int(prefix[n // (d * d)].sum())
-    # L < TILE_X, so ds <= d0
-    ds = math.isqrt(n // TILE_X) + 1
-    total = divisor_summatory_batch([n // (d * d) for d in range(1, ds)])
-    for lo in range(ds, d0, CHUNK):
-        d = np.arange(lo, min(lo + CHUNK, d0), dtype=np.int64)
-        total += divisor_summatory_tiles(n // (d * d))
-    # d1 ~ (2N)^(1/3) balances gather and fold; any d1 in [d0, end] gives the same sum
-    d1 = min(max(int((2 * n) ** (1 / 3)), d0), end)
-    for lo in range(d0, d1, CHUNK):
-        d = np.arange(lo, min(lo + CHUNK, d1), dtype=np.int64)
-        total += int(prefix[n // (d * d)].sum())
-    return total + _folded_tail(prefix, n, d1)
+    # the fold pays only past CHUNK table terms; there d1 ~ (2N)^(1/3) balances
+    # gather and fold, and any d1 in [d0, end] gives the same sum
+    d1 = end if end - d0 <= CHUNK else min(max(int((2 * n) ** (1 / 3)), d0), end)
+    total = 0
+    for lo in range(1, d1, CHUNK):
+        x = n // np.arange(lo, min(lo + CHUNK, d1), dtype=np.int64) ** 2
+        large = max(d0 - lo, 0)
+        if large:
+            total += divisor_summatory_batch(x[:large])
+        total += int(prefix[x[large:]].sum())
+    if d1 < end:
+        total += _folded_tail(prefix, n, d1)
+    return total
 
 
 def s_upto(m: int) -> np.ndarray:

@@ -7,25 +7,25 @@ divisor r.  Folding that count about the diagonal r = s gives
     D(x) = 2 * sum_{k <= sqrt(x)} floor(x/k) - floor(sqrt(x))^2,
 
 because every point has min(r, s) <= sqrt(x), and the square block with
-both coordinates <= sqrt(x) is the part counted twice.  floor_sum evaluates
-that floor sum for a whole non-increasing batch of rows x_i at once, in
-chunks of at most CHUNK values of k, each quotient floor(x_i / k) by one of
-three exact routes:
+both coordinates <= sqrt(x) is the part counted twice.
+divisor_summatory_batch sums D over a whole non-increasing batch of x at
+once, and divisor_summatory(x) is its one-row case.  Its floor sums run in
+chunks of at most CHUNK values of k, and take each quotient
+floor(x_i / k) by one of three exact routes:
 
     x_i < RECIP_X          multiply x_i by a reciprocal r_k that is rounded
-                           up a little, and floor, in float64; one chunk of
-                           r_k serves every row that reaches it
+                           up a little, and floor, in float64
     RECIP_X <= x_i < 2^53  divide in float64 and floor
     2^53 <= x_i            floor-divide in int64
 
 RECIP_X = 818836295885544, about 2^50 / 1.375, is derived from the proof in
-floor_sum's docstring.  In the first chunk each row sums pieces that grow
-geometrically from k = 1, so that no piece's sum can exceed 2^53 or
-2^63 - 1.  divisor_summatory_batch turns the floor sums into the sum of
-D(x_i), and divisor_summatory(x) is its one-row case.
-divisor_summatory_tiles sums D over many x below TILE_X = (CHUNK + 1)^2 at
-once, packing their short floor sums into float64 tiles of CHUNK entries
-that multiply by one table of r_1, ..., r_CHUNK.
+floor_sum's docstring.  The rows below RECIP_X sum their first chunk in
+float64 tiles, many short rows or one long row at a time, against one
+table of r_1, ..., r_CHUNK; each later chunk of r_k is built once and
+serves every such row that reaches it.  The other rows, at most 16 of the
+floor(N / d^2) for any N <= MAX_X, sum their first chunk in pieces that
+grow geometrically from k = 1, so that no piece's sum can exceed 2^53 or
+2^63 - 1.
 
 lattice_count evaluates the unfolded floor sum sum_{r<=M} floor(M/r)
 instead, batching the O(sqrt M) maximal ranges of r over which the
@@ -46,9 +46,7 @@ and every floor(N / d^2) they pass on is then in the domain.
 """
 
 import bisect
-import math
 import operator
-from collections.abc import Sequence
 
 import numpy as np
 
@@ -56,7 +54,6 @@ from .arith import MAX_NATURAL, check_natural
 
 CHUNK = 2**14
 MAX_X = 225_203_186_528_917_274
-TILE_X = (CHUNK + 1) ** 2
 # The largest X with X * e < 1, where e = (1 + 2^-53)^3 (1 + 2^-50) - 1 is the
 # relative excess of a reciprocal product; floor_sum's docstring gives the proof.
 RECIP_X = (2**209 - 1) // ((2**53 + 1) ** 3 * (2**50 + 1) - 2**209)
@@ -69,7 +66,7 @@ def _reciprocals(k: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     return recip
 
 
-# r_1, ..., r_CHUNK, built in place: the tiles and the first chunk of floor_sum read it
+# r_1, ..., r_CHUNK, built in place: the tiles of floor_sum's first chunk read it
 _RECIP = np.arange(1, CHUNK + 1, dtype=np.float64)
 _reciprocals(_RECIP, out=_RECIP)
 _RECIP.flags.writeable = False
@@ -84,18 +81,51 @@ def _check_domain(x: int, name: str) -> None:
         )
 
 
-def floor_sum(x: Sequence[int], r: Sequence[int]) -> list[int]:
-    """Exact sum_{k=1..r_i} x_i // k for every row of a batch, as Python ints.
+def _isqrt(q: np.ndarray) -> np.ndarray:
+    """math.isqrt of every entry of an int64 array with entries in [0, MAX_X].
 
-    x and r are non-increasing, with 0 <= x_i <= 2^63 - 1.  The loop runs
-    over chunks [lo, lo + CHUNK) of k on the outside, lo = 1, CHUNK + 1, ...,
-    and over the rows that reach each chunk on the inside; those rows, the
-    ones with r_i >= lo, are a prefix of the batch.  Row i sums a chunk in
-    pieces [a, b) with b - a <= a * (B // x_i): B = 2^53 for a row summed in
-    float64 (x_i < 2^53) and B = MAX_NATURAL = 2^63 - 1 for a row summed in
-    int64.  Every piece past the first chunk is a whole chunk; in the first,
-    the pieces grow geometrically from k = 1.  Each row takes one of three
-    routes:
+    np.sqrt rounds q to a double, then takes the correctly rounded root s.
+    s is never below k = isqrt(q): q >= k^2 rounds to at least
+    k^2 (1 - 2^-53), whose root lies within half a double spacing below k,
+    so it rounds to k or above.  s is below k + 2: both roundings move
+    sqrt(q) < 2^29 by less than 2^-23.  So the truncated s needs only one
+    downward correction, and its square is at most (isqrt(MAX_X) + 1)^2,
+    far below 2^63.
+    """
+    s = np.sqrt(q).astype(np.int64)
+    s -= s * s > q
+    return s
+
+
+def floor_sum(x: np.ndarray, r: np.ndarray) -> int:
+    """Exact sum over the rows of sum_{k=1..r_i} x_i // k, as a Python int.
+
+    x and r are non-increasing int64 arrays, with 0 <= x_i <= 2^63 - 1 and
+    r_i >= 0.  The chunks of k are [lo, lo + CHUNK), lo = 1, CHUNK + 1, ....
+
+    First chunk of the rows below RECIP_X: float64 tiles.  A tile is a run
+    of rows from row i, of width w = min(r_i, CHUNK), times the columns
+    k = 1..w, multiplied by the table of r_1, ..., r_CHUNK and floored in
+    place in one buffer, which this call allocates, so concurrent calls
+    share nothing.  A run holds at most CHUNK // w rows, each more than
+    half as wide as row i, which keeps the padding that the narrower rows
+    compute for nothing below half the tile; it is a single row unless
+    x_i < (w + 1)^2, as for r_i = isqrt(x_i).  The padding of each row j
+    narrower than the tile, its entries with k > r_j, is zeroed, and the
+    tile is summed.
+
+    Later chunks, and the first chunk of the rows at or above RECIP_X: the
+    loop runs over the chunks on the outside and over the rows that reach
+    each chunk on the inside; those rows, the ones with r_i >= lo, are a
+    prefix of the batch.  Row i sums a chunk in pieces [a, b) with
+    b - a <= a * (B // x_i): B = 2^53 for a row summed in float64
+    (x_i < 2^53) and B = MAX_NATURAL = 2^63 - 1 for a row summed in int64.
+    Every piece past the first chunk is a whole chunk; in the first, the
+    pieces grow geometrically from k = 1.  A later chunk reached by two or
+    more rows below RECIP_X builds its reciprocals once and multiplies them
+    into each of those rows; one reached by only one such row divides,
+    since building its reciprocals would cost more than it saves.  Each row
+    takes one of three routes:
 
     Reciprocal products, x_i < RECIP_X: floor(fl(x_i * r_k)).  With
     u = 2^-53, fl(1/k) >= (1/k)(1 - u), so
@@ -107,10 +137,7 @@ def floor_sum(x: Sequence[int], r: Sequence[int]) -> list[int]:
     about 1.375 * 2^-50.  A non-integer x_i / k lies at least 1/k below
     m + 1, and (x_i / k) e < 1/k because x_i e < 1 for x_i < RECIP_X, so
     the product stays below m + 1, and for an integer x_i / k = m below
-    m + 1 too.  A chunk of r_k is built once and multiplied into every
-    such row that reaches the chunk; the first chunk reads the table of
-    the tiles.  A chunk reached by only one of these rows divides instead,
-    since building its reciprocals would cost more than it saves.
+    m + 1 too.
 
     Float quotients, x_i < 2^53: floor(fl(x_i / k)).  x_i and k are exact
     doubles, so x_i / k is correctly rounded, with an error of at most
@@ -120,35 +147,62 @@ def floor_sum(x: Sequence[int], r: Sequence[int]) -> list[int]:
 
     Int64 quotients, x_i >= 2^53: x_i // k, exact.
 
-    Piece sums: every term of row i in [a, b) is at most x_i / a, so the
-    piece's sum, and every partial sum of it, is an integer of at most
-    (b - a) * x_i / a <= (B // x_i) * x_i <= B.  That is exact in float64
-    for B = 2^53 and cannot wrap in int64 for B = 2^63 - 1.  The piece sums
-    are added up as Python ints.
+    Sums: every partial sum of a tile or a piece is an integer no larger
+    than its whole sum.  A one-row tile sums to at most
+    x_i * H(CHUNK) < RECIP_X * 10.3 < 2^53.  A tile of several rows has
+    w <= CHUNK / 2 and every x_j <= x_i < (w + 1)^2 <= 2^26.01, so its at
+    most CHUNK entries sum to less than 2^41.  Every term of row i in a
+    piece [a, b) is at most x_i / a, so the piece sums to at most
+    (b - a) * x_i / a <= (B // x_i) * x_i <= B.  So every float64 sum is
+    exact and no int64 sum can wrap.  Tile and piece sums are added up as
+    Python ints.
     """
-    sums = [0] * len(x)
-    if not x:
-        return sums
-    per_a = [(2**53 if v < 2**53 else MAX_NATURAL) // max(v, 1) for v in x]
-    # rows [0, ints) take the int64 route and rows [ints, divs) the float divide
-    ints = bisect.bisect_right(x, -(2**53), key=operator.neg)
-    divs = bisect.bisect_right(x, -RECIP_X, key=operator.neg)
-    k = np.arange(1, min(r[0], CHUNK) + 1, dtype=np.float64)
-    buf = np.empty(min(r[0], CHUNK))
-    for lo in range(1, r[0] + 1, CHUNK):
-        if lo > 1:
+    xs, rs = x.tolist(), r.tolist()
+    if not rs or not rs[0]:
+        return 0
+    # rows [0, ints) take the int64 route, rows [ints, divs) the float divide
+    # and rows [divs, stop), those below RECIP_X with r_i >= 1, the reciprocals
+    ints = bisect.bisect_right(xs, -(2**53), key=operator.neg)
+    divs = bisect.bisect_right(xs, -RECIP_X, key=operator.neg)
+    stop = bisect.bisect_right(rs, -1, key=operator.neg)
+    xf = x.astype(np.float64)
+    buf = np.empty(min(CHUNK, stop * rs[0]))
+    total = 0
+    i = divs
+    while i < stop:
+        w = min(rs[i], CHUNK)
+        j = i + 1
+        if xs[i] < (w + 1) ** 2:
+            j = min(i + CHUNK // w, bisect.bisect_left(rs, -(w // 2), i, key=operator.neg))
+        flat = buf[: (j - i) * w]
+        q = flat.reshape(j - i, w)
+        np.multiply(xf[i:j, None], _RECIP[:w], out=q)
+        # zero the padding of the rows narrower than the tile
+        for m in range(bisect.bisect_left(rs, -(w - 1), i, j, key=operator.neg), j):
+            q[m - i, rs[m] :] = 0
+        np.floor(flat, out=flat)
+        total += int(flat.sum())
+        i = j
+    first = 1 if divs else CHUNK + 1
+    k = np.arange(first, min(first + CHUNK, rs[0] + 1), dtype=np.float64)
+    recip = None
+    # only the rows at or above RECIP_X split a chunk, their first, into pieces
+    per_a = [(2**53 if v < 2**53 else MAX_NATURAL) // v for v in xs[:divs]]
+    for lo in range(first, rs[0] + 1, CHUNK):
+        if lo > first:
             k += CHUNK
-        live = bisect.bisect_right(r, -lo, key=operator.neg)
+        # the tiles took the first chunk of the rows below RECIP_X
+        live = bisect.bisect_right(rs, -lo, key=operator.neg) if lo > 1 else min(divs, stop)
         # rows [muls, live) multiply by one shared chunk of reciprocals
         muls = divs if live - divs > 1 else live
         if muls < live:
-            recip = _RECIP if lo == 1 else _reciprocals(k)
+            recip = _reciprocals(k, out=recip)
         for i in range(live):
-            v, a, end = x[i], lo, min(lo + CHUNK, r[i] + 1)
+            v, a, end = xs[i], lo, min(lo + CHUNK, rs[i] + 1)
             while a < end:
-                b = min(a + a * per_a[i], end)
+                b = min(a + a * per_a[i], end) if lo == 1 else end
                 if i < ints:
-                    sums[i] += int((v // np.arange(a, b, dtype=np.int64)).sum())
+                    total += int((v // np.arange(a, b, dtype=np.int64)).sum())
                 else:
                     q = buf[: b - a]
                     if i < muls:
@@ -156,74 +210,30 @@ def floor_sum(x: Sequence[int], r: Sequence[int]) -> list[int]:
                     else:
                         np.multiply(recip[a - lo : b - lo], float(v), out=q)
                     np.floor(q, out=q)
-                    sums[i] += int(q.sum())
+                    total += int(q.sum())
                 a = b
-    return sums
-
-
-def divisor_summatory_batch(x: Sequence[int]) -> int:
-    """Exact sum of D(x_i) over a non-increasing batch of 0 <= x_i <= MAX_X.
-
-    One floor_sum over the batch; the arguments are not checked.
-    """
-    r = [math.isqrt(v) for v in x]
-    total = 0
-    for v, root, f in zip(x, r, floor_sum(x, r)):
-        d = 2 * f - root * root
-        if d > MAX_NATURAL:
-            raise OverflowError(f"divisor_summatory({v}) exceeds the 2^63 - 1 contract")
-        total += d
     return total
 
 
-def divisor_summatory_tiles(x: np.ndarray) -> int:
-    """Exact sum of D(x_i) over a non-increasing int64 array of 1 <= x_i < TILE_X.
+def divisor_summatory_batch(x: np.ndarray) -> int:
+    """Exact sum of D(x_i) over a non-increasing int64 array of 0 <= x_i <= MAX_X.
 
-    D(x_i) = 2 * floor_sum(x_i, r_i) - r_i^2 with r_i = isqrt(x_i), and below
-    TILE_X = (CHUNK + 1)^2 every r_i <= CHUNK, so many rows fit in one float64
-    tile of at most CHUNK entries: a run of rows from row i, each more than
-    half as wide as row i, times the columns k = 1..r_i.  x non-increasing
-    makes r_i the widest row of its run, and the half-width rule keeps the
-    padding that the narrower rows compute for nothing below half the tile.
-    Each tile is multiplied by the reciprocals r_k and floored in place in
-    one buffer, which this call allocates, so concurrent calls share
-    nothing.  The tile is summed plainly, then its ragged masked tail is
-    subtracted: the entries with k > r_j, all past the width of its last
-    row.
-
-    Exactness: x_i < 2^29, so float sqrt gives isqrt(x_i) exactly.  A square
-    x_i has an exact root; any other x_i has sqrt(x_i) more than
-    1/(2 (r_i + 1)) > 2^-16 below r_i + 1, far more than the rounding error of
-    at most 2^-39.  Since x_i < RECIP_X, floor(fl(x_i * r_k)) = x_i // k, as
-    floor_sum shows.  Every entry is below 2^29 and a tile has at most 2^14
-    entries, so every partial sum in a tile is an integer below 2^43, exact
-    in float64.  The tile sums are added up as Python ints.
+    One floor_sum over the batch with r_i = isqrt(x_i).  The arguments are
+    not checked, and their sum must be at most 2^63 - 1, so that the sum of
+    the r_i^2 fits int64; the floor(N / d^2) of any N <= MAX_X sum to at
+    most N * zeta(2) < 2^59.
     """
-    xf = x.astype(np.float64)
-    r = np.sqrt(xf).astype(np.int64)
-    widths = r.tolist()
-    buf = np.empty(CHUNK)
-    total = 0
-    i, rows = 0, len(widths)
-    while i < rows:
-        w = widths[i]
-        j = min(i + CHUNK // w, bisect.bisect_left(widths, -(w // 2), i, key=operator.neg))
-        v = widths[j - 1]
-        flat = buf[: (j - i) * w]
-        q = flat.reshape(j - i, w)
-        np.multiply(xf[i:j, None], _RECIP[:w], out=q)
-        np.floor(flat, out=flat)
-        total += int(flat.sum())
-        if v < w:
-            total -= int(q[:, v:].sum(where=np.arange(v + 1, w + 1) > r[i:j, None]))
-        i = j
-    return 2 * total - int(r @ r)
+    r = _isqrt(x)
+    return 2 * floor_sum(x, r) - int(r @ r)
 
 
 def divisor_summatory(x: int) -> int:
     """Exact D(x) = sum_{n<=x} tau(n) via the folded hyperbola identity."""
     _check_domain(x, "x")
-    return divisor_summatory_batch([x])
+    d = divisor_summatory_batch(np.array([x], dtype=np.int64))
+    if d > MAX_NATURAL:
+        raise OverflowError(f"divisor_summatory({x}) exceeds the 2^63 - 1 contract")
+    return d
 
 
 def lattice_count(m: int) -> int:

@@ -197,3 +197,21 @@ def test_module_entry_point():
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert f"S(100) = {s_identity(100)}" in proc.stdout
+
+
+@pytest.mark.parametrize(("alg", "n_min", "n_max", "limit"), [
+    ("identity", 10**17, 10**18, "MAX_X"),
+    ("lemma1", 10**17, 10**18, "MAX_X"),
+    ("brute", 1000, 10**8, "brute-force cap"),
+], ids=["identity", "lemma1", "brute"])
+def test_scan_past_a_limit_is_refused_before_any_point(tmp_path, capsys, deadline,
+                                                       alg, n_min, n_max, limit):
+    # the grid's first points are inside the limit and would take seconds each
+    csv = tmp_path / "s.csv"
+    with deadline(1.0):
+        assert run(["scan", "--from", str(n_min), "--to", str(n_max), "--alg", alg,
+                    "--out", str(csv)]) == 1
+    captured = capsys.readouterr()
+    assert limit in captured.err and "scan point N=" in captured.err
+    assert captured.out == ""
+    assert not csv.exists()

@@ -20,7 +20,7 @@ from gcdsum import (
 from gcdsum import gcd_sum, summatory
 from gcdsum.arith import DEFAULT_SIEVE_CAP, MAX_NATURAL
 from gcdsum.gcd_sum import TABLE_CAP, s_upto
-from gcdsum.summatory import CHUNK, MAX_X, RECIP_X, TILE_X
+from gcdsum.summatory import CHUNK, MAX_X, RECIP_X
 from oracles import common_divisors, s_by_pair_enumeration
 from oracles import tau_by_trial_division as tau
 
@@ -112,22 +112,17 @@ def cold_table():
 def traced_identity(monkeypatch):
     """traced_identity(n) -> (s_identity(n), every x its large-term half evaluated).
 
-    The x are recorded in evaluation order, whether divisor_summatory_batch
-    took them as a list or divisor_summatory_tiles took them as an array.
+    The x are recorded in evaluation order, as divisor_summatory_batch took
+    them, one int64 array per call.
     """
     seen = []
-    batch, tiles = gcd_sum.divisor_summatory_batch, gcd_sum.divisor_summatory_tiles
+    batch = gcd_sum.divisor_summatory_batch
 
     def record(xs):
-        seen.extend(xs)
+        seen.extend(xs.tolist())
         return batch(xs)
 
-    def record_tiles(xs):
-        seen.extend(xs.tolist())
-        return tiles(xs)
-
     monkeypatch.setattr(gcd_sum, "divisor_summatory_batch", record)
-    monkeypatch.setattr(gcd_sum, "divisor_summatory_tiles", record_tiles)
 
     def run(n):
         seen.clear()
@@ -219,50 +214,31 @@ def test_identity_where_the_first_term_leaves_the_table(monkeypatch, traced_iden
         assert traced_identity(n) == (s_lemma1(n), expected), n
 
 
-def test_identity_where_the_tiles_start(monkeypatch, traced_identity):
-    # ds = isqrt(N // TILE_X) + 1 moves at N = d^2 TILE_X: only the x >= TILE_X
-    # go to divisor_summatory_batch, in one call; the rest of the large terms are tiled
-    limit = _set_cap(monkeypatch, None)
-    batches = []
-    traced_batch = gcd_sum.divisor_summatory_batch
-
-    def record(xs):
-        batches.append(xs)
-        return traced_batch(xs)
-
-    monkeypatch.setattr(gcd_sum, "divisor_summatory_batch", record)
-    for d in (2, 3):
-        for n in (d * d * TILE_X - 1, d * d * TILE_X, d * d * TILE_X + 1):
-            batches.clear()
-            _check_split(traced_identity, n, limit)
-            ds = math.isqrt(n // TILE_X) + 1
-            assert batches == [[n // (k * k) for k in range(1, ds)]], n
-            assert min(batches[0]) >= TILE_X > n // (ds * ds), n
-
-
-def test_batched_halves_start_where_the_gather_needs_two_chunks(monkeypatch):
-    # below the first N whose gather of d >= d0 exceeds CHUNK terms, s_identity
-    # takes the one-call-per-term, one-gather path; from it on, tiles and fold
+def test_batched_halves_start_where_the_gather_needs_two_chunks(monkeypatch, traced_identity):
+    # below the first N whose gather of d >= d0 exceeds CHUNK terms, the table
+    # half is one gather; from it on, the d >= d1 are folded.  Either way every
+    # large term goes through divisor_summatory_batch, in order of d
     _set_cap(monkeypatch, None)
     k = next(k for k in itertools.count(CHUNK)
              if k - math.isqrt(k * k // (TABLE_CAP + 1)) > CHUNK)
-    used = []
-    tiles, fold = gcd_sum.divisor_summatory_tiles, gcd_sum._folded_tail
+    folds = []
+    fold = gcd_sum._folded_tail
 
-    def record_tiles(xs):
-        used.append("tiles")
-        return tiles(xs)
+    def record_fold(prefix, n, d1):
+        folds.append((n, d1))
+        return fold(prefix, n, d1)
 
-    def record_fold(*args):
-        used.append("fold")
-        return fold(*args)
-
-    monkeypatch.setattr(gcd_sum, "divisor_summatory_tiles", record_tiles)
     monkeypatch.setattr(gcd_sum, "_folded_tail", record_fold)
-    for n in (TABLE_CAP, 10**6, 10**8, k * k - 1):
-        assert s_identity(n) == s_lemma1(n) and used == [], n
-    assert s_identity(k * k) == s_lemma1(k * k)
-    assert used == ["tiles", "fold"]
+    for n in (TABLE_CAP, 10**6, 10**8, k * k - 1, k * k, k * k + 1):
+        folds.clear()
+        value, large = traced_identity(n)
+        assert value == s_lemma1(n), n
+        assert large == _large_terms(n, TABLE_CAP), n
+        if n < k * k:
+            assert folds == [], n
+        else:
+            assert len(folds) == 1 and folds[0][0] == n, n
+            assert math.isqrt(n // (TABLE_CAP + 1)) < folds[0][1] <= math.isqrt(n), n
 
 
 @pytest.mark.parametrize("cap", ["10", "100", "1000"])
@@ -298,7 +274,7 @@ def test_vectorized_isqrt_matches_math_isqrt():
     ks.append(math.isqrt(MAX_X))
     q = [v for k in ks for v in (k * k - 1, k * k, k * k + 1) if v <= MAX_X]
     q += random.Random(2718).choices(range(MAX_X + 1), k=10**4) + [0, 1, MAX_X]
-    got = gcd_sum._isqrt(np.array(q, dtype=np.int64))
+    got = summatory._isqrt(np.array(q, dtype=np.int64))
     assert got.tolist() == [math.isqrt(v) for v in q]
 
 
@@ -334,14 +310,19 @@ def test_identity_threads_on_a_cold_table(table_builds, monkeypatch):
     # each trial starts 4 threads on an empty cache: the lock must let
     # exactly one of them build the table, and every result must match
     _set_cap(monkeypatch, None)
-    # the last three take the tiles and the fold, each call with its own buffer
+    # the last three fold the table half, each kernel call with its own buffer
     ns = (list(range(1, 2001)) + [10**6 + k for k in range(40)]
           + [10**10 + 1, 10**9 + 7, 10**12 + 1])
     serial = [s_identity(n) for n in ns]
-    # and every thread runs the batched kernel on rows of all three routes
-    rows = [2**53 + 1, 2**53 - 1, RECIP_X, RECIP_X - 1, RECIP_X - 2, 10**12, 10**12 - 1]
-    widths = [3 * CHUNK] * 3 + [2 * CHUNK] * 4
-    serial_rows = summatory.floor_sum(rows, widths)
+    # and every thread runs the kernels on rows of all three routes, in
+    # reciprocal tiles of one and of many rows and in shared later chunks
+    rows = np.array([2**53 + 1, 2**53 - 1, RECIP_X, RECIP_X - 1, RECIP_X - 2, 10**12,
+                     10**12 - 1, 10**8, 10**8 - 1, 10**6, 10**6 - 1], dtype=np.int64)
+    widths = np.array([3 * CHUNK] * 3 + [2 * CHUNK] * 4 + [10**4] * 2 + [10**3] * 2)
+    d_rows = np.array([10**12, 10**12 - 1, CHUNK * CHUNK, CHUNK * CHUNK - 1,
+                       *range(10**6, 10**6 - CHUNK, -7)], dtype=np.int64)
+    serial_rows = (summatory.floor_sum(rows, widths),
+                   summatory.divisor_summatory_batch(d_rows))
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -356,7 +337,8 @@ def test_identity_threads_on_a_cold_table(table_builds, monkeypatch):
                 start.wait()
                 for j in range(i, len(ns), 4):
                     results[j] = s_identity(ns[j])
-                row_results[i] = summatory.floor_sum(rows, widths)
+                row_results[i] = (summatory.floor_sum(rows, widths),
+                                  summatory.divisor_summatory_batch(d_rows))
 
             threads = [threading.Thread(target=work, args=(i,)) for i in range(4)]
             for t in threads:

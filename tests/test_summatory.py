@@ -9,19 +9,17 @@ import pytest
 
 from gcdsum import divisor_summatory, lattice_count, sieve_tau, summatory
 from gcdsum.arith import MAX_NATURAL
-from gcdsum.summatory import (
-    CHUNK,
-    MAX_X,
-    RECIP_X,
-    TILE_X,
-    divisor_summatory_batch,
-    divisor_summatory_tiles,
-    floor_sum,
-)
+from gcdsum.summatory import CHUNK, MAX_X, RECIP_X, divisor_summatory_batch, floor_sum
 from oracles import lattice_by_enumeration, tau_by_enumeration
 
 # the float route takes every x below 2^53
 FLOAT_TOP = 2**53 - 1
+# below (CHUNK + 1)^2 a whole row fits one chunk of k, and several rows one tile
+SHORT_X = (CHUNK + 1) ** 2
+
+
+def _floor_sum(x, r):
+    return floor_sum(np.array(x, dtype=np.int64), np.array(r, dtype=np.int64))
 
 
 def test_divisor_summatory_examples():
@@ -108,13 +106,13 @@ def test_floor_sum_chunks_cannot_wrap(x):
     # a few terms near 2^63 already overflow an int64 sum, so the chunks
     # must shrink to MAX_NATURAL // x terms
     for r in (1, 2, 7, 100):
-        assert floor_sum([x], [r]) == [sum(x // k for k in range(1, r + 1))]
+        assert _floor_sum([x], [r]) == sum(x // k for k in range(1, r + 1))
 
 
 def test_floor_sum_across_chunk_boundaries():
     x = 10**12
     for r in (CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 5):
-        assert floor_sum([x], [r]) == [sum(x // k for k in range(1, r + 1))]
+        assert _floor_sum([x], [r]) == sum(x // k for k in range(1, r + 1))
 
 
 def test_divisor_summatory_returns_python_int():
@@ -149,8 +147,15 @@ EXCESS = (1 + Fraction(1, 2**53)) ** 3 * (1 + Fraction(1, 2**50)) - 1
 
 def test_recip_x_is_the_largest_x_whose_excess_stays_below_one():
     assert RECIP_X * EXCESS < 1 <= (RECIP_X + 1) * EXCESS
-    # the tiles multiply, and the d >= 2 rows of N = 10^15 too, but not d = 1
-    assert TILE_X < 10**15 // 4 < RECIP_X < 10**15
+    # the d >= 2 rows of N = 10^15 multiply, but not d = 1
+    assert 10**15 // 4 < RECIP_X < 10**15
+
+
+def test_a_whole_first_chunk_below_recip_x_sums_exactly_in_float64():
+    # a row below RECIP_X sums its first chunk as one tile: every partial sum
+    # is at most x * H(CHUNK), which must stay below 2^53
+    harmonic = sum(Fraction(1, k) for k in range(1, CHUNK + 1))
+    assert (RECIP_X - 1) * harmonic < 2**53
 
 
 def test_reciprocals_are_bumped_above_one_over_k():
@@ -194,8 +199,8 @@ def test_floor_sum_on_both_sides_of_float_x(x):
     # one row divides; two rows below RECIP_X share their reciprocals
     prefix = _prefix_sums(x, 10**5)
     for r in (1, CHUNK - 1, CHUNK, CHUNK + 1, 10**5):
-        assert floor_sum([x], [r]) == [prefix[r]]
-        assert floor_sum([x, x], [r, r]) == [prefix[r]] * 2
+        assert _floor_sum([x], [r]) == prefix[r]
+        assert _floor_sum([x, x], [r, r]) == 2 * prefix[r]
 
 
 @pytest.mark.parametrize("x", [MAX_X, MAX_X - 1, 2**62, FLOAT_TOP, 10**15])
@@ -213,7 +218,7 @@ def test_int_chunks_grow_geometrically_without_wrapping(x):
         edges.append(a)
     for r in {e + step for e in edges for step in (-1, 0, 1)}:
         if r <= r_max:
-            assert floor_sum([x], [r]) == [prefix[r]]
+            assert _floor_sum([x], [r]) == prefix[r]
 
 
 def test_divisor_summatory_at_max_x_in_bounded_time(deadline):
@@ -244,28 +249,28 @@ def _tile_rows(hi, lo, rows, seed):
     _tile_rows(3, 1, CHUNK + 5, 1),
     # r = CHUNK - 1 and r = CHUNK: one-row tiles, of CHUNK entries for r = CHUNK
     _tile_rows(CHUNK * CHUNK - 1, (CHUNK - 1) ** 2, 3, 2),
-    _tile_rows(TILE_X - 1, CHUNK * CHUNK, 3, 3),
-    np.array([TILE_X - 1, CHUNK * CHUNK, CHUNK * CHUNK - 1], dtype=np.int64),
+    _tile_rows(SHORT_X - 1, CHUNK * CHUNK, 3, 3),
+    np.array([SHORT_X - 1, CHUNK * CHUNK, CHUNK * CHUNK - 1], dtype=np.int64),
     # r = 128 on every row: 128 rows fill a tile of exactly CHUNK entries
     _tile_rows(129 * 129 - 1, 128 * 128, 128, 4),
     _tile_rows(129 * 129 - 1, 128 * 128, 300, 5),
-    # ragged tiles: the rows of s_identity(10^12) and of a steeper range
+    # ragged tiles: the short rows of s_identity(10^12) and of a steeper range
     np.array([10**12 // (d * d) for d in range(62, 2763)], dtype=np.int64),
     np.array([10**8 // (d * d) for d in range(1, 60)], dtype=np.int64),
-    _tile_rows(TILE_X - 1, 1, 500, 6),
+    _tile_rows(SHORT_X - 1, 1, 500, 6),
 ], ids=["r1", "r_chunk_minus_1", "r_chunk", "r_chunk_edges", "full_tile", "r128",
         "rows_of_1e12", "rows_of_1e8", "mixed"])
 def test_tiles_match_per_call_divisor_summatory(x):
-    assert divisor_summatory_tiles(x) == sum(divisor_summatory(v) for v in x.tolist())
+    # the batch packs short rows into shared tiles; one call per row never does
+    assert divisor_summatory_batch(x) == sum(divisor_summatory(v) for v in x.tolist())
 
 
-def test_float_sqrt_is_isqrt_below_tile_x():
-    # the tiles take r = floor(sqrt(x)) in float64; check it at every square edge
-    k = np.arange(1, CHUNK + 2, dtype=np.int64)
+def test_kernel_isqrt_is_exact_at_every_square_edge():
+    # the kernel takes r = isqrt(x) from _isqrt; check it at every square edge
+    # up to (2 CHUNK + 1)^2, past the widest tile and the first chunk edge of k
+    k = np.arange(1, 2 * CHUNK + 2, dtype=np.int64)
     x = np.concatenate([k * k - 1, k * k, k * k + 1])
-    x = x[x < TILE_X]
-    r = np.sqrt(x.astype(np.float64)).astype(np.int64)
-    assert r.tolist() == [math.isqrt(v) for v in x.tolist()]
+    assert summatory._isqrt(x).tolist() == [math.isqrt(v) for v in x.tolist()]
 
 
 def _batch(rng, tops, rows):
@@ -280,12 +285,29 @@ def test_floor_sum_batch_matches_each_row(seed):
     rng = np.random.default_rng(seed)
     x = _batch(rng, (2**53, RECIP_X, 10**12), 4)
     r = sorted(rng.integers(1, 3 * CHUNK, len(x)).tolist(), reverse=True)
-    assert floor_sum(x, r) == [sum(v // k for k in range(1, w + 1)) for v, w in zip(x, r)]
+    rows = [sum(v // k for k in range(1, w + 1)) for v, w in zip(x, r)]
+    assert [_floor_sum([v], [w]) for v, w in zip(x, r)] == rows
+    assert _floor_sum(x, r) == sum(rows)
 
 
 def test_divisor_summatory_batch_matches_each_row():
     rng = np.random.default_rng(4242)
-    x = [RECIP_X + 1, RECIP_X, RECIP_X - 1, *_batch(rng, (10**12, 10**8, TILE_X, 10), 3)]
-    assert divisor_summatory_batch(x) == sum(divisor_summatory(v) for v in x)
-    assert divisor_summatory_batch([]) == 0
-    assert divisor_summatory_batch([10**9]) == lattice_count(10**9)
+    x = [RECIP_X + 1, RECIP_X, RECIP_X - 1, *_batch(rng, (10**12, 10**8, SHORT_X, 10), 3), 1, 0]
+    batch = np.array(x, dtype=np.int64)
+    assert divisor_summatory_batch(batch) == sum(divisor_summatory(v) for v in x)
+    assert divisor_summatory_batch(batch[:0]) == 0
+    assert divisor_summatory_batch(np.array([10**9], dtype=np.int64)) == lattice_count(10**9)
+
+
+def test_divisor_summatory_batch_mixes_every_kind_of_row():
+    # in one call: two rows >= 2^53 on the int64 route, then the float divide,
+    # whole first chunks just below RECIP_X, rows with r = CHUNK + 1, CHUNK and
+    # CHUNK - 1 around the edge of the first chunk, and many-row tiles; the
+    # values at 2^53 and 2^53 - 1 are frozen, as in the float-route test
+    edges = [SHORT_X + 2 * CHUNK + 2, SHORT_X, SHORT_X - 1, CHUNK * CHUNK,
+             CHUNK * CHUNK - 1, (CHUNK - 1) ** 2]
+    short = [10**6 // (d * d) for d in range(1, 40)]
+    x = [RECIP_X + 1, RECIP_X - 1, RECIP_X - 2, RECIP_X - 10**9, *edges, *short]
+    assert [math.isqrt(v) for v in edges[:5]] == [CHUNK + 1, CHUNK + 1, CHUNK, CHUNK, CHUNK - 1]
+    expected = 2 * 332286676471485609 + 54 + sum(divisor_summatory(v) for v in x)
+    assert divisor_summatory_batch(np.array([2**53, FLOAT_TOP, *x], dtype=np.int64)) == expected

@@ -10,8 +10,8 @@ because every point has min(r, s) <= sqrt(x), and the square block with
 both coordinates <= sqrt(x) is the part counted twice.
 divisor_summatory_batch sums D over a whole non-increasing batch of x at
 once, and divisor_summatory(x) is its one-row case.  Its floor sums run in
-chunks of at most CHUNK values of k, and take each quotient
-floor(x_i / k) by one of three exact routes:
+whole chunks of CHUNK values of k, and take each quotient floor(x_i / k)
+by one of three exact routes:
 
     x_i < RECIP_X          multiply x_i by a reciprocal r_k that is rounded
                            up a little, and floor, in float64
@@ -23,9 +23,9 @@ floor_sum's docstring.  The rows below RECIP_X sum their first chunk in
 float64 tiles, many short rows or one long row at a time, against one
 table of r_1, ..., r_CHUNK; each later chunk of r_k is built once and
 serves every such row that reaches it.  The other rows, at most 16 of the
-floor(N / d^2) for any N <= MAX_X, sum their first chunk in pieces that
-grow geometrically from k = 1, so that no piece's sum can exceed 2^53 or
-2^63 - 1.
+floor(N / d^2) for any N <= MAX_X, floor-divide their first chunk in int64,
+where it sums to less than MAX_X * H(CHUNK) < 2^62, and take their later
+chunks by their own route.
 
 lattice_count evaluates the unfolded floor sum sum_{r<=M} floor(M/r)
 instead, batching the O(sqrt M) maximal ranges of r over which the
@@ -38,11 +38,12 @@ points on either axis are not.
 
 Domain: D(x) = sum_{k<=x} floor(x/k) <= x * H(x) <= x * (1 + ln x), and
 MAX_X is the largest x for which that bound is at most 2^63 - 1.  Both
-routines refuse a larger argument before their O(sqrt x) loop starts; at
-x = 2^63 - 1 that loop would run about 3 * 10^9 steps before the result
-check could fail.  divisor_summatory_batch and _lattice_count take their
-arguments without that check, for the S(N) evaluators: they check N once,
-and every floor(N / d^2) they pass on is then in the domain.
+routines refuse a larger argument before their O(sqrt x) loop starts, so
+every result fits int64 and is not checked again, and MAX_X is the only
+bound the kernel's chunks are sized for.  divisor_summatory_batch and
+_lattice_count take their arguments without that check, for the S(N)
+evaluators: they check N once, and every floor(N / d^2) they pass on is
+then in the domain.
 """
 
 import bisect
@@ -50,7 +51,7 @@ import operator
 
 import numpy as np
 
-from .arith import MAX_NATURAL, check_natural
+from .arith import check_natural
 
 CHUNK = 2**14
 MAX_X = 225_203_186_528_917_274
@@ -100,8 +101,12 @@ def _isqrt(q: np.ndarray) -> np.ndarray:
 def floor_sum(x: np.ndarray, r: np.ndarray) -> int:
     """Exact sum over the rows of sum_{k=1..r_i} x_i // k, as a Python int.
 
-    x and r are non-increasing int64 arrays, with 0 <= x_i <= 2^63 - 1 and
-    r_i >= 0.  The chunks of k are [lo, lo + CHUNK), lo = 1, CHUNK + 1, ....
+    x and r are non-increasing int64 arrays, with 0 <= x_i <= MAX_X and
+    r_i >= 0.  The chunks of k are [lo, lo + CHUNK), lo = 1, CHUNK + 1, ...,
+    and every row sums every chunk it reaches whole.
+
+    First chunk of the rows at or above RECIP_X: x_i // k in int64, one row
+    at a time.
 
     First chunk of the rows below RECIP_X: float64 tiles.  A tile is a run
     of rows from row i, of width w = min(r_i, CHUNK), times the columns
@@ -114,18 +119,13 @@ def floor_sum(x: np.ndarray, r: np.ndarray) -> int:
     narrower than the tile, its entries with k > r_j, is zeroed, and the
     tile is summed.
 
-    Later chunks, and the first chunk of the rows at or above RECIP_X: the
-    loop runs over the chunks on the outside and over the rows that reach
-    each chunk on the inside; those rows, the ones with r_i >= lo, are a
-    prefix of the batch.  Row i sums a chunk in pieces [a, b) with
-    b - a <= a * (B // x_i): B = 2^53 for a row summed in float64
-    (x_i < 2^53) and B = MAX_NATURAL = 2^63 - 1 for a row summed in int64.
-    Every piece past the first chunk is a whole chunk; in the first, the
-    pieces grow geometrically from k = 1.  A later chunk reached by two or
-    more rows below RECIP_X builds its reciprocals once and multiplies them
-    into each of those rows; one reached by only one such row divides,
-    since building its reciprocals would cost more than it saves.  Each row
-    takes one of three routes:
+    Later chunks: the loop runs over the chunks on the outside and over the
+    rows that reach each chunk on the inside; those rows, the ones with
+    r_i >= lo, are a prefix of the batch.  A chunk reached by two or more
+    rows below RECIP_X builds its reciprocals once and multiplies them into
+    each of those rows; one reached by only one such row divides, since
+    building its reciprocals would cost more than it saves.  Each row takes
+    one of three routes:
 
     Reciprocal products, x_i < RECIP_X: floor(fl(x_i * r_k)).  With
     u = 2^-53, fl(1/k) >= (1/k)(1 - u), so
@@ -145,17 +145,19 @@ def floor_sum(x: np.ndarray, r: np.ndarray) -> int:
     the next integer, so floor never rounds up, and an integer x_i / k is
     exact.
 
-    Int64 quotients, x_i >= 2^53: x_i // k, exact.
+    Int64 quotients, x_i >= 2^53, and the first chunk of every row at or
+    above RECIP_X: x_i // k, exact.
 
-    Sums: every partial sum of a tile or a piece is an integer no larger
-    than its whole sum.  A one-row tile sums to at most
-    x_i * H(CHUNK) < RECIP_X * 10.3 < 2^53.  A tile of several rows has
+    Sums: every partial sum of a tile or a chunk is an integer no larger
+    than its whole sum.  A first chunk sums to at most x_i * H(CHUNK),
+    H(CHUNK) < 10.3: below RECIP_X * 10.3 < 2^53 for a one-row tile, and
+    below MAX_X * 10.3 < 2^62 in int64.  A tile of several rows has
     w <= CHUNK / 2 and every x_j <= x_i < (w + 1)^2 <= 2^26.01, so its at
-    most CHUNK entries sum to less than 2^41.  Every term of row i in a
-    piece [a, b) is at most x_i / a, so the piece sums to at most
-    (b - a) * x_i / a <= (B // x_i) * x_i <= B.  So every float64 sum is
-    exact and no int64 sum can wrap.  Tile and piece sums are added up as
-    Python ints.
+    most CHUNK entries sum to less than 2^41.  A later chunk
+    [lo, lo + CHUNK) has at most CHUNK terms, each at most x_i / lo with
+    lo > CHUNK, so it sums to less than x_i: below 2^53 on the float routes
+    and below 2^63 on the int64 one.  So every float64 sum is exact and no
+    int64 sum can wrap.  Tile and chunk sums are added up as Python ints.
     """
     xs, rs = x.tolist(), r.tolist()
     if not rs or not rs[0]:
@@ -165,9 +167,11 @@ def floor_sum(x: np.ndarray, r: np.ndarray) -> int:
     ints = bisect.bisect_right(xs, -(2**53), key=operator.neg)
     divs = bisect.bisect_right(xs, -RECIP_X, key=operator.neg)
     stop = bisect.bisect_right(rs, -1, key=operator.neg)
+    # the first chunk of the rows at or above RECIP_X, whole, in int64
+    total = sum(int((v // np.arange(1, min(w, CHUNK) + 1, dtype=np.int64)).sum())
+                for v, w in zip(xs[:divs], rs))
     xf = x.astype(np.float64)
     buf = np.empty(min(CHUNK, stop * rs[0]))
-    total = 0
     i = divs
     while i < stop:
         w = min(rs[i], CHUNK)
@@ -183,35 +187,27 @@ def floor_sum(x: np.ndarray, r: np.ndarray) -> int:
         np.floor(flat, out=flat)
         total += int(flat.sum())
         i = j
-    first = 1 if divs else CHUNK + 1
-    k = np.arange(first, min(first + CHUNK, rs[0] + 1), dtype=np.float64)
+    k = np.arange(CHUNK + 1, min(2 * CHUNK, rs[0]) + 1, dtype=np.float64)
     recip = None
-    # only the rows at or above RECIP_X split a chunk, their first, into pieces
-    per_a = [(2**53 if v < 2**53 else MAX_NATURAL) // v for v in xs[:divs]]
-    for lo in range(first, rs[0] + 1, CHUNK):
-        if lo > first:
-            k += CHUNK
-        # the tiles took the first chunk of the rows below RECIP_X
-        live = bisect.bisect_right(rs, -lo, key=operator.neg) if lo > 1 else min(divs, stop)
+    for lo in range(CHUNK + 1, rs[0] + 1, CHUNK):
+        live = bisect.bisect_right(rs, -lo, key=operator.neg)
         # rows [muls, live) multiply by one shared chunk of reciprocals
         muls = divs if live - divs > 1 else live
         if muls < live:
             recip = _reciprocals(k, out=recip)
         for i in range(live):
-            v, a, end = xs[i], lo, min(lo + CHUNK, rs[i] + 1)
-            while a < end:
-                b = min(a + a * per_a[i], end) if lo == 1 else end
-                if i < ints:
-                    total += int((v // np.arange(a, b, dtype=np.int64)).sum())
+            v, n = xs[i], min(CHUNK, rs[i] + 1 - lo)
+            if i < ints:
+                total += int((v // np.arange(lo, lo + n, dtype=np.int64)).sum())
+            else:
+                q = buf[:n]
+                if i < muls:
+                    np.divide(float(v), k[:n], out=q)
                 else:
-                    q = buf[: b - a]
-                    if i < muls:
-                        np.divide(float(v), k[a - lo : b - lo], out=q)
-                    else:
-                        np.multiply(recip[a - lo : b - lo], float(v), out=q)
-                    np.floor(q, out=q)
-                    total += int(q.sum())
-                a = b
+                    np.multiply(recip[:n], float(v), out=q)
+                np.floor(q, out=q)
+                total += int(q.sum())
+        k += CHUNK
     return total
 
 
@@ -230,10 +226,7 @@ def divisor_summatory_batch(x: np.ndarray) -> int:
 def divisor_summatory(x: int) -> int:
     """Exact D(x) = sum_{n<=x} tau(n) via the folded hyperbola identity."""
     _check_domain(x, "x")
-    d = divisor_summatory_batch(np.array([x], dtype=np.int64))
-    if d > MAX_NATURAL:
-        raise OverflowError(f"divisor_summatory({x}) exceeds the 2^63 - 1 contract")
-    return d
+    return divisor_summatory_batch(np.array([x], dtype=np.int64))
 
 
 def lattice_count(m: int) -> int:
@@ -255,6 +248,4 @@ def _lattice_count(m: int) -> int:
         r_hi = m // q
         total += q * (r_hi - r + 1)
         r = r_hi + 1
-    if total > MAX_NATURAL:
-        raise OverflowError(f"lattice_count({m}) exceeds the 2^63 - 1 contract")
     return total

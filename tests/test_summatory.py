@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 import random
@@ -10,7 +11,7 @@ import pytest
 from gcdsum import divisor_summatory, lattice_count, sieve_tau, summatory
 from gcdsum.arith import MAX_NATURAL
 from gcdsum.summatory import CHUNK, MAX_X, RECIP_X, divisor_summatory_batch, floor_sum
-from oracles import lattice_by_enumeration, tau_by_enumeration
+from oracles import lattice_by_enumeration, tau_by_enumeration, tau_by_trial_division
 
 # the float route takes every x below 2^53
 FLOAT_TOP = 2**53 - 1
@@ -101,11 +102,11 @@ def test_magnitude_contract_on_inputs():
         divisor_summatory(-5)
 
 
-@pytest.mark.parametrize("x", [2**60, 2**62 + 12345, 2**63 - 1])
+@pytest.mark.parametrize("x", [MAX_X, MAX_X - 1, 2**53])
 def test_floor_sum_chunks_cannot_wrap(x):
-    # a few terms near 2^63 already overflow an int64 sum, so the chunks
-    # must shrink to MAX_NATURAL // x terms
-    for r in (1, 2, 7, 100):
+    # a row at or above RECIP_X sums its first chunk whole in int64; at MAX_X
+    # that sum reaches MAX_X * H(CHUNK), a quarter of 2^63
+    for r in (1, 2, 7, 100, CHUNK, CHUNK + 1):
         assert _floor_sum([x], [r]) == sum(x // k for k in range(1, r + 1))
 
 
@@ -121,7 +122,7 @@ def test_divisor_summatory_returns_python_int():
     assert value == lattice_count(10**10)
 
 
-def test_float_quotients_floor_exactly_up_to_float_x():
+def test_float_quotients_floor_exactly_below_2_53():
     # x = k * floor(FLOAT_TOP / k) divides exactly; x - 1 puts x/k 1/k below
     # an integer, the closest a non-integer quotient gets to rounding up
     rng = np.random.default_rng(9009)
@@ -151,11 +152,22 @@ def test_recip_x_is_the_largest_x_whose_excess_stays_below_one():
     assert 10**15 // 4 < RECIP_X < 10**15
 
 
+@functools.cache
+def _harmonic_chunk():
+    """H(CHUNK) = sum_{k <= CHUNK} 1/k, exactly."""
+    return sum(Fraction(1, k) for k in range(1, CHUNK + 1))
+
+
 def test_a_whole_first_chunk_below_recip_x_sums_exactly_in_float64():
     # a row below RECIP_X sums its first chunk as one tile: every partial sum
     # is at most x * H(CHUNK), which must stay below 2^53
-    harmonic = sum(Fraction(1, k) for k in range(1, CHUNK + 1))
-    assert (RECIP_X - 1) * harmonic < 2**53
+    assert (RECIP_X - 1) * _harmonic_chunk() < 2**53
+
+
+def test_a_whole_int64_first_chunk_at_max_x_cannot_wrap():
+    # a row at or above RECIP_X sums its first chunk whole in int64: every
+    # partial sum is at most x * H(CHUNK), which must stay below 2^63
+    assert MAX_X * _harmonic_chunk() < 2**63
 
 
 def test_reciprocals_are_bumped_above_one_over_k():
@@ -203,28 +215,20 @@ def test_floor_sum_on_both_sides_of_float_x(x):
         assert _floor_sum([x, x], [r, r]) == 2 * prefix[r]
 
 
-@pytest.mark.parametrize("x", [MAX_X, MAX_X - 1, 2**62, FLOAT_TOP, 10**15])
-def test_int_chunks_grow_geometrically_without_wrapping(x):
-    # a piece [a, b) of the first chunk has b - a <= a * (B // x), with B = 2^53
-    # on the float route and MAX_NATURAL on the int64 one, and the later
-    # pieces are whole chunks of CHUNK terms; at FLOAT_TOP, B // x = 1 and the
-    # float pieces double from one term
-    per_a = (2**53 if x <= FLOAT_TOP else MAX_NATURAL) // x
+@pytest.mark.parametrize("x", [MAX_X, MAX_X - 1, 2**53, FLOAT_TOP, 10**15])
+def test_floor_sum_at_every_chunk_edge(x):
+    # every chunk is summed whole: the first is k = 1..CHUNK, in int64 for
+    # these rows, and each later one [lo, lo + CHUNK) on the row's own route
     r_max = 10**5
     prefix = _prefix_sums(x, r_max)
-    edges, a = [], 1
-    while a <= r_max:
-        a = min(a + a * per_a, CHUNK + 1) if a <= CHUNK else a + CHUNK
-        edges.append(a)
-    for r in {e + step for e in edges for step in (-1, 0, 1)}:
-        if r <= r_max:
+    for edge in range(CHUNK, r_max, CHUNK):
+        for r in (edge - 1, edge, edge + 1):
             assert _floor_sum([x], [r]) == prefix[r]
 
 
 def test_divisor_summatory_at_max_x_in_bounded_time(deadline):
-    # the value agrees with lattice_count(MAX_X) and with flat int64 chunks of
-    # MAX_NATURAL // x = 40 terms; on a 2-core Xeon those take about 40 s and
-    # geometric chunks about 2.3 s
+    # the value agrees with lattice_count(MAX_X); the first chunk is summed in
+    # int64 and each later one as a whole chunk, about 2.3 s on a 2-core Xeon
     with deadline(30.0):
         assert divisor_summatory(MAX_X) == 9032947277897432256
 
@@ -235,6 +239,21 @@ def test_divisor_summatory_across_the_float_route_limit():
     # tens of seconds, and D gains tau(2^53) = 54 from 2^53 - 1 to 2^53
     assert divisor_summatory(FLOAT_TOP) == 332286676471485609
     assert divisor_summatory(2**53) - divisor_summatory(FLOAT_TOP) == 54
+
+
+def test_divisor_summatory_across_recip_x():
+    # RECIP_X - 1 takes the reciprocal tile and products, RECIP_X and
+    # RECIP_X + 1 the int64 first chunk and the float divide; the value at
+    # RECIP_X - 1 is lattice_count(RECIP_X - 1), frozen here because it takes
+    # over 10 s, and D gains tau(x) at each of the next two steps
+    primes = (2, 3, 5, 7, 31, 251, 601, 1187, 1801, 4051, 19709623201)
+    assert all(tau_by_trial_division(p) == 2 for p in primes)
+    assert RECIP_X == 2**3 * 3 * 31 * 251 * 601 * 1801 * 4051
+    assert RECIP_X + 1 == 5 * 7 * 1187 * 19709623201
+    d = [divisor_summatory(x) for x in (RECIP_X - 1, RECIP_X, RECIP_X + 1)]
+    assert d[0] == 28244395996127067
+    # tau(2^3 * six primes) = 4 * 2^6 and tau(four primes) = 2^4
+    assert [d[1] - d[0], d[2] - d[1]] == [256, 16]
 
 
 def _tile_rows(hi, lo, rows, seed):

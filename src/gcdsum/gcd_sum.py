@@ -41,9 +41,9 @@ identity  folds the same inner count into the divisor summatory function,
           sums the first chunk of k of every row below RECIP_X in float64
           tiles, and runs over sqrt(N) / CHUNK later chunks, building one
           chunk of reciprocals for each that two of its rows reach.  At
-          N = 10^12 that is 2762 large terms in one block: 330 tiles, 61 of
-          them one row each, and 61 later chunks, 30 of them with
-          reciprocals built; then about 16000 table reads.  Any L >= 1 and
+          N = 10^12 that is 2762 large terms in one block: 330 tiles, 122
+          one-row, 19661 entries in the ragged pass, 61 later chunks, 30
+          with reciprocals built; 16000 table reads.  Any L >= 1 and
           any d1 in [d0, sqrt(N) + 1] give the same integer; they only move
           the cost between the ranges.
 

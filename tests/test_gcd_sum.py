@@ -84,6 +84,16 @@ def test_s_upto_matches_identity():
         assert table[n] == s_identity(n), n
 
 
+def test_s_upto_matches_identity_under_a_lowered_sieve_cap(monkeypatch):
+    # at the default cap every N <= 20000 is one gather; at cap 100 each N
+    # above 100 sends up to 14 large terms through divisor_summatory_batch,
+    # in tiles of several rows with ragged remainders
+    table = s_upto(20000)
+    monkeypatch.setenv("GCDSUM_SIEVE_CAP", "100")
+    for n in range(1, 20001):
+        assert table[n] == s_identity(n), n
+
+
 def test_s_upto_is_read_only():
     table = s_upto(10)
     assert table.dtype == np.int64 and len(table) == 11

@@ -2,6 +2,8 @@ import functools
 import itertools
 import math
 import random
+import sys
+import threading
 from fractions import Fraction
 
 import mpmath
@@ -10,7 +12,8 @@ import pytest
 
 from gcdsum import divisor_summatory, lattice_count, sieve_tau, summatory
 from gcdsum.arith import MAX_NATURAL
-from gcdsum.summatory import CHUNK, MAX_X, RECIP_X, divisor_summatory_batch, floor_sum
+from gcdsum.summatory import (CHUNK, MAX_X, RECIP_X, SPREAD, divisor_summatory_batch,
+                               floor_sum)
 from oracles import lattice_by_enumeration, tau_by_enumeration, tau_by_trial_division
 
 # the float route takes every x below 2^53
@@ -282,6 +285,117 @@ def _tile_rows(hi, lo, rows, seed):
 def test_tiles_match_per_call_divisor_summatory(x):
     # the batch packs short rows into shared tiles; one call per row never does
     assert divisor_summatory_batch(x) == sum(divisor_summatory(v) for v in x.tolist())
+
+
+def _python_floor_sum(x, r):
+    return sum(v // k for v, w in zip(x, r) for k in range(1, w + 1))
+
+
+def _square_rows(widths):
+    """Rows x = w^2 with r = w: each row below CHUNK can start a tile of several."""
+    return [w * w for w in widths], list(widths)
+
+
+# rows d in [500, 2763) of 10^12: many-row tiles that spread by at most 66
+# leave 12672 entries in 2082 rows, more than one piece of CHUNK // 2
+ROWS_1E12_LATE = [10**12 // (d * d) for d in range(500, 2763)]
+
+
+@pytest.mark.parametrize(("x", "r"), [
+    # four rows of one width share one dense tile and leave nothing
+    ([2600, 2590, 2550, 2500], [50] * 4),
+    # the row one entry wider than the narrowest leaves exactly one entry
+    ([2700, 2500], [51, 50]),
+    # spread SPREAD is dense with a ragged remainder, SPREAD + 1 is zeroed;
+    # both with a third row, so under the small buffer size
+    _square_rows([300, 300 - SPREAD, 300 - SPREAD]),
+    _square_rows([300, 299 - SPREAD, 299 - SPREAD]),
+    # rows with r = 0 after the tiles are skipped by the ragged pass
+    ([2700, 2600, 2500, 7, 0, 0], [51, 51, 50, 0, 0, 0]),
+    # single-row tiles of r = CHUNK // 2 + 1 and wider, then two-row tiles at
+    # r = CHUNK // 2 (dense, spread 1) and below (zeroed, spread 2000), then
+    # a dense three-row tile
+    _square_rows([CHUNK + 5, CHUNK // 2 + 1, CHUNK // 2, CHUNK // 2 - 1,
+                  8000, 6000, 5000, 4990, 4950]),
+    (ROWS_1E12_LATE, [math.isqrt(v) for v in ROWS_1E12_LATE]),
+], ids=["one_width", "one_entry", "spread_max", "spread_max_plus_1", "r0_after_tiles",
+        "around_half_chunk", "rows_of_1e12_late"])
+def test_ragged_remainders_match_python_floor_sums(x, r):
+    assert _floor_sum(x, r) == _python_floor_sum(x, r)
+
+
+@functools.cache
+def _rows_1e12():
+    """The large terms of s_identity(10^12) and their D(x), one call per row."""
+    x = np.array([10**12 // (d * d) for d in range(1, 2763)], dtype=np.int64)
+    return x, sum(divisor_summatory(v) for v in x.tolist())
+
+
+@pytest.fixture
+def preset_bufsize():
+    """A distinctive caller's NumPy buffer size, reset after the test."""
+    old = np.setbufsize(4096)
+    yield 4096
+    np.setbufsize(old)
+
+
+def test_kernel_restores_the_buffer_size_on_return(preset_bufsize, monkeypatch):
+    # the many-row tiles floor under a buffer size of 16, and the caller's
+    # size is back after the call
+    sizes = set()
+    floor = np.floor
+
+    def spying(*args, **kwargs):
+        sizes.add(np.getbufsize())
+        return floor(*args, **kwargs)
+
+    monkeypatch.setattr(summatory.np, "floor", spying)
+    x, expected = _rows_1e12()
+    assert divisor_summatory_batch(x) == expected
+    assert sizes == {16, preset_bufsize}
+    assert np.getbufsize() == preset_bufsize
+
+
+def test_kernel_restores_the_buffer_size_on_error(preset_bufsize, monkeypatch):
+    floor = np.floor
+
+    def failing(*args, **kwargs):
+        if np.getbufsize() == 16:
+            raise RuntimeError("floor failed under the kernel's buffer size")
+        return floor(*args, **kwargs)
+
+    monkeypatch.setattr(summatory.np, "floor", failing)
+    with pytest.raises(RuntimeError, match="kernel's buffer size"):
+        divisor_summatory_batch(_rows_1e12()[0])
+    assert np.getbufsize() == preset_bufsize
+
+
+def test_kernel_buffer_size_is_per_thread(preset_bufsize):
+    # four threads preset four sizes and run the kernel at once; each gets
+    # the same sum and keeps its own size, and this thread keeps its own
+    x, expected = _rows_1e12()
+    sizes = [1024, 2048, 8192, 16384]
+    seen = [None] * 4
+    start = threading.Barrier(4)
+
+    def work(t):
+        np.setbufsize(sizes[t])
+        start.wait()
+        seen[t] = [(divisor_summatory_batch(x), np.getbufsize()) for _ in range(3)]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(t,)) for t in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert seen == [[(expected, size)] * 3 for size in sizes]
+    assert np.getbufsize() == preset_bufsize
 
 
 def test_kernel_isqrt_is_exact_at_every_square_edge():

@@ -21,14 +21,13 @@ by one of three exact routes:
 RECIP_X = 818836295885544, about 2^50 / 1.375, is derived from the proof in
 floor_sum's docstring.  The rows below RECIP_X sum their first chunk in
 float64 tiles, many short rows or one long row at a time, against one
-table of r_1, ..., r_CHUNK.  A tile whose rows differ in width by at most
-SPREAD is dense at its narrowest row, and the rest of its wider rows goes
-to one ragged pass per call; a tile of a wider spread zeroes the padding
-of its narrower rows.  Each later chunk of r_k is built once and
-serves every such row that reaches it.  The other rows, at most 16 of the
-floor(N / d^2) for any N <= MAX_X, floor-divide their first chunk in int64,
-where it sums to less than MAX_X * H(CHUNK) < 2^62, and take their later
-chunks by their own route.
+table of r_1, ..., r_CHUNK.  A tile of several rows is as wide as its
+narrowest row, and the rest of its wider rows goes to one ragged pass per
+call.  Each later chunk of r_k is built once and serves every such row
+that reaches it.  The other rows, at most 16 of the floor(N / d^2) for
+any N <= MAX_X, floor-divide their first chunk in int64, where it sums to
+less than MAX_X * H(CHUNK) < 2^62, and take their later chunks by their
+own route.
 
 lattice_count evaluates the unfolded floor sum sum_{r<=M} floor(M/r)
 instead, batching the O(sqrt M) maximal ranges of r over which the
@@ -61,9 +60,6 @@ MAX_X = 225_203_186_528_917_274
 # The largest X with X * e < 1, where e = (1 + 2^-53)^3 (1 + 2^-50) - 1 is the
 # relative excess of a reciprocal product; floor_sum's docstring gives the proof.
 RECIP_X = (2**209 - 1) // ((2**53 + 1) ** 3 * (2**50 + 1) - 2**209)
-# the widest spread of row widths at which a tile of floor_sum is dense at its
-# narrowest row; its docstring gives the costs
-SPREAD = 128
 
 
 def _reciprocals(k: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -117,26 +113,21 @@ def floor_sum(x: np.ndarray, r: np.ndarray) -> int:
     First chunk of the rows below RECIP_X: float64 tiles.  A tile is a run
     of rows from row i, at most CHUNK // w of them for w = min(r_i, CHUNK),
     each more than half as wide as row i; it is a single row unless
-    x_i < (w + 1)^2, as for r_i = isqrt(x_i).  Its rows times the columns
+    x_i < (w + 1)^2, as for r_i = isqrt(x_i).  A tile of several rows is as
+    wide as its last, narrowest row instead.  Its rows times the columns
     k = 1..w are multiplied by the table of r_1, ..., r_CHUNK, floored in
     place in one buffer, which this call allocates, so concurrent calls
-    share nothing, and summed.  If its row widths differ by at most SPREAD,
-    w is the narrowest instead, and the columns w < k <= r_j of the wider
-    rows go to one ragged pass after the tiles, which repeats x_j, builds k
-    from an arange offset by each row's start, multiplies by a gather from
-    the table, floors and sums, in pieces of whole rows of at most half the
-    buffer, so that its index and x arrays hold no more than the buffer.
-    Otherwise each row j narrower than the tile zeroes its padding, k > r_j.
-    Zeroing a row costs about 0.6 us, a ragged entry 3 ns more than a tile
-    entry and the pass 15 us: at N = 10^12 the tiles spread by at most 66
-    and leave 19661 entries in 2360 rows to the pass, while the rows of a
-    wider spread at N = 10^8 to 10^9, up to 1667 entries each, are cheaper
-    zeroed.  NumPy copies the broadcast operand of a tile of three or more
-    rows through its buffer when the rows are shorter than about 3000
-    entries, at 1.7 ns per entry against 0.5 ns unbuffered (NumPy 2.4; two
-    rows run unbuffered), so the first such tile sets np.setbufsize(16),
-    and a finally clause restores the caller's size on every exit.  The
-    size is per thread and never changes a product.
+    share nothing, and summed.  The rest of its wider rows, w < k <= r_j,
+    goes to one ragged pass after the tiles, which gathers r_k from the
+    table, multiplies by x_j, floors and sums, in pieces of whole rows of
+    at most half the buffer; NumPy has no repeat into a given array, so a
+    piece's index and x arrays are allocated.  NumPy copies the broadcast
+    operand of a tile of three or more rows through its buffer when the
+    rows are shorter than about 3000 entries, at 1.7 ns per entry against
+    0.5 ns unbuffered (NumPy 2.4; two rows run unbuffered), so the first
+    such tile sets np.setbufsize(16), and a finally clause restores the
+    caller's size on every exit.  The size is per thread and never changes
+    a product.
 
     Later chunks: the loop runs over the chunks on the outside and over the
     rows that reach each chunk on the inside; those rows, the ones with
@@ -193,8 +184,8 @@ def floor_sum(x: np.ndarray, r: np.ndarray) -> int:
     xf = x.astype(np.float64)
     buf = np.empty(min(CHUNK, stop * rs[0]))
     # per tile its row count and its cut: the tile sums each row j over
-    # k <= cut and the ragged pass over cut < k <= r_j (none if cut = r_i);
-    # and the caller's buffer size once a tile of three or more rows set 16
+    # k <= cut and the ragged pass over cut < k <= r_j; and the caller's
+    # buffer size once a tile of three or more rows set 16
     runs, cuts, bufsize, ragged = [], [], None, False
     i = divs
     try:
@@ -205,17 +196,13 @@ def floor_sum(x: np.ndarray, r: np.ndarray) -> int:
                 j = min(i + CHUNK // w, bisect.bisect_left(rs, -(w // 2), i, key=operator.neg))
                 if bufsize is None and j - i > 2:
                     bufsize = np.setbufsize(16)
-                if 0 < w - rs[j - 1] <= SPREAD:
+                if w > rs[j - 1]:
                     w = cut = rs[j - 1]
                     ragged = True
             runs.append(j - i)
             cuts.append(cut)
             flat = buf[: (j - i) * w]
-            q = flat.reshape(j - i, w)
-            np.multiply(xf[i:j, None], _RECIP[:w], out=q)
-            # zero the padding of the rows narrower than the tile
-            for m in range(bisect.bisect_left(rs, -(w - 1), i, j, key=operator.neg), j):
-                q[m - i, rs[m] :] = 0
+            np.multiply(xf[i:j, None], _RECIP[:w], out=flat.reshape(j - i, w))
             np.floor(flat, out=flat)
             total += int(flat.sum())
             i = j
@@ -227,7 +214,7 @@ def floor_sum(x: np.ndarray, r: np.ndarray) -> int:
         # entry t of the pass has k - 1 = t + shift_j, always inside the table,
         # so take wraps instead of checking every index
         cut = np.array(cuts).repeat(runs)
-        n = np.maximum(r[divs:stop] - cut, 0)
+        n = r[divs:stop] - cut
         ends = n.cumsum()
         shift = cut + n - ends
         a, i, end = 0, 0, int(ends[-1])
@@ -242,8 +229,6 @@ def floor_sum(x: np.ndarray, r: np.ndarray) -> int:
             np.floor(q, out=q)
             total += int(q.sum())
             a, i = b, j
-    if rs[0] <= CHUNK:
-        return total
     k = np.arange(CHUNK + 1, min(2 * CHUNK, rs[0]) + 1, dtype=np.float64)
     recip = None
     for lo in range(CHUNK + 1, rs[0] + 1, CHUNK):

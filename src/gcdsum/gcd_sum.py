@@ -38,12 +38,13 @@ identity  folds the same inner count into the divisor summatory function,
           lowered sieve cap picks its own table; every later call only reads
           it.  A call costs about sqrt(N) log(d0) exact floor quotients and
           fewer than 2 N^(1/3) table reads in place of sqrt(N).  The batch
-          sums the first chunk of k of every row below RECIP_X in float64
-          tiles, and runs over sqrt(N) / CHUNK later chunks, building one
-          chunk of reciprocals for each that two of its rows reach.  At
-          N = 10^12 that is 2762 large terms in one block: 330 tiles, 122
-          one-row, 19661 entries in the ragged pass, 61 later chunks, 30
-          with reciprocals built; 16000 table reads.  Any L >= 1 and
+          takes the quotients in summatory's compiled kernel, or in its
+          NumPy kernel where that does not load, and runs over
+          sqrt(N) / CHUNK later chunks of k, building one chunk of
+          reciprocals for each that two of its rows reach.  At N = 10^12
+          that is 2762 large terms in one block, 8.5 million quotients,
+          61 later chunks, 30 with reciprocals built, and 16000 table
+          reads.  Any L >= 1 and
           any d1 in [d0, sqrt(N) + 1] give the same integer; they only move
           the cost between the ranges.
 

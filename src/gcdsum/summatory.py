@@ -19,15 +19,23 @@ by one of three exact routes:
     2^53 <= x_i            floor-divide in int64
 
 RECIP_X = 818836295885544, about 2^50 / 1.375, is derived from the proof in
-floor_sum's docstring.  The rows below RECIP_X sum their first chunk in
-float64 tiles, many short rows or one long row at a time, against one
-table of r_1, ..., r_CHUNK.  A tile of several rows is as wide as its
-narrowest row, and the rest of its wider rows goes to one ragged pass per
-call.  Each later chunk of r_k is built once and serves every such row
-that reaches it.  The other rows, at most 16 of the floor(N / d^2) for
-any N <= MAX_X, floor-divide their first chunk in int64, where it sums to
-less than MAX_X * H(CHUNK) < 2^62, and take their later chunks by their
-own route.
+floor_sum's docstring.  One table of r_1, ..., r_CHUNK serves the first
+chunk of every row below RECIP_X, and each later chunk of r_k is built
+once and serves every such row that reaches it.  The other rows, at most
+16 of the floor(N / d^2) for any N <= MAX_X, floor-divide their first
+chunk in int64, where it sums to less than MAX_X * H(CHUNK) < 2^62, and
+take their later chunks by their own route.
+
+Two kernels run these routes in the same loop order.  The compiled one,
+floor_sum.c, is built with the system C compiler on the first floor_sum
+call in a process, cached per user and loaded with ctypes; it takes each
+row's first chunk whole and adds the rows as Python ints.  Where it
+cannot be built or loaded, or on an x86-64 CPU without SSE4.1,
+floor_sum runs the NumPy kernel, _floor_sum_numpy, which the tests also
+use as the reference.  The NumPy kernel sums the first chunk in float64
+tiles, many short rows or one long row at a time; a tile of several rows
+is as wide as its narrowest row, and the rest of its wider rows goes to
+one ragged pass per call.
 
 lattice_count evaluates the unfolded floor sum sum_{r<=M} floor(M/r)
 instead, batching the O(sqrt M) maximal ranges of r over which the
@@ -49,7 +57,17 @@ then in the domain.
 """
 
 import bisect
+import ctypes
+import functools
 import operator
+import os
+import platform
+import shutil
+import sys
+import tempfile
+import threading
+import zlib
+from pathlib import Path
 
 import numpy as np
 
@@ -69,7 +87,7 @@ def _reciprocals(k: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     return recip
 
 
-# r_1, ..., r_CHUNK, built in place: the tiles of floor_sum's first chunk read it
+# r_1, ..., r_CHUNK, built in place: both kernels read it for the first chunk of k
 _RECIP = np.arange(1, CHUNK + 1, dtype=np.float64)
 _reciprocals(_RECIP, out=_RECIP)
 _RECIP.flags.writeable = False
@@ -100,34 +118,108 @@ def _isqrt(q: np.ndarray) -> np.ndarray:
     return s
 
 
+_SOURCE = Path(__file__).with_name("floor_sum.c")
+# Every product, quotient and floor must be one correctly rounded IEEE
+# operation for floor_sum's proofs, so no -ffast-math or any part of it, and
+# no fused multiply-adds.  -fopenmp-simd enables only the source's `omp simd`
+# reductions, which the proofs allow, and -fno-trapping-math lets floor
+# vectorize; neither changes a value.  No -march=native: the cached library
+# must run on any CPU the loader accepts.
+_CFLAGS = ("-O3", "-shared", "-fPIC", "-ffp-contract=off", "-fno-trapping-math",
+           "-fopenmp-simd")
+_COMPILERS = ("cc", "gcc")
+_KERNEL_LOCK = threading.Lock()
+
+
+def _compiled_kernel():
+    """The compiled floor-sum kernel, or None where floor_sum runs NumPy.
+
+    It is built and loaded on the first call in a process.  The lock makes
+    threads that start on a cold cache wait for one build.
+    """
+    with _KERNEL_LOCK:
+        return _load_kernel()
+
+
+def _private_dir(path: Path) -> Path:
+    """path, created if missing; refused unless this user owns it and only
+    this user can write to it, so no one else can plant a library there."""
+    path.mkdir(mode=0o700, parents=True, exist_ok=True)
+    st = path.stat()
+    if st.st_uid != os.getuid() or st.st_mode & 0o022:
+        raise PermissionError(f"{path} is not a private directory")
+    return path
+
+
+def _cache_dir() -> Path:
+    """The user's cache directory for gcdsum, or a private one under the temp
+    directory when that cannot be used."""
+    try:
+        base = Path(os.environ.get("XDG_CACHE_HOME") or Path.home() / ".cache")
+        return _private_dir(base / "gcdsum")
+    except (OSError, RuntimeError):
+        return _private_dir(Path(tempfile.gettempdir()) / f"gcdsum-{os.getuid()}")
+
+
+@functools.cache
+def _load_kernel():
+    """Build floor_sum.c into the cache unless it is there, and load it.
+
+    The library's name hashes the source, the flags, the compiler and the
+    machine, so a changed source or flag builds a new one.  The compiler
+    writes a temporary file that is then renamed into place, so processes
+    that build at once each leave a whole library.  None when there is no
+    compiler, the build or the load fails, or the CPU is refused.
+    """
+    compiler = next(filter(None, map(shutil.which, _COMPILERS)), None)
+    if compiler is None or os.name != "posix":
+        return None
+    try:
+        tag = "\0".join((*_CFLAGS, compiler, platform.machine(), sys.platform)).encode()
+        lib = _cache_dir() / f"floor_sum-{zlib.crc32(_SOURCE.read_bytes() + tag):08x}.so"
+        if not lib.exists():
+            _build(compiler, lib)
+        dll = ctypes.CDLL(str(lib))
+    except (OSError, RuntimeError):
+        return None
+    dll.gcdsum_supported.argtypes = ()
+    dll.gcdsum_supported.restype = ctypes.c_int
+    if not dll.gcdsum_supported():
+        return None
+    kernel = dll.gcdsum_floor_sum
+    kernel.argtypes = (ctypes.c_int64, ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p,
+                       ctypes.c_int64, ctypes.c_int64, ctypes.c_void_p)
+    kernel.restype = ctypes.c_int
+    return kernel
+
+
+def _build(compiler: str, lib: Path) -> None:
+    # subprocess is imported only here, so that a cached library costs no import
+    import subprocess
+
+    fd, tmp = tempfile.mkstemp(suffix=".so", dir=lib.parent)
+    os.close(fd)
+    try:
+        subprocess.run([compiler, *_CFLAGS, "-o", tmp, str(_SOURCE)],
+                       capture_output=True, timeout=300, check=True)
+        os.replace(tmp, lib)
+    except subprocess.SubprocessError as error:
+        raise RuntimeError(f"{compiler} could not build {_SOURCE.name}") from error
+    finally:
+        Path(tmp).unlink(missing_ok=True)
+
+
 def floor_sum(x: np.ndarray, r: np.ndarray) -> int:
     """Exact sum over the rows of sum_{k=1..r_i} x_i // k, as a Python int.
 
-    x and r are non-increasing int64 arrays, with 0 <= x_i <= MAX_X and
-    r_i >= 0.  The chunks of k are [lo, lo + CHUNK), lo = 1, CHUNK + 1, ...,
-    and every row sums every chunk it reaches whole.
-
-    First chunk of the rows at or above RECIP_X: x_i // k in int64, one row
-    at a time.
-
-    First chunk of the rows below RECIP_X: float64 tiles.  A tile is a run
-    of rows from row i, at most CHUNK // w of them for w = min(r_i, CHUNK),
-    each more than half as wide as row i; it is a single row unless
-    x_i < (w + 1)^2, as for r_i = isqrt(x_i).  A tile of several rows is as
-    wide as its last, narrowest row instead.  Its rows times the columns
-    k = 1..w are multiplied by the table of r_1, ..., r_CHUNK, floored in
-    place in one buffer, which this call allocates, so concurrent calls
-    share nothing, and summed.  The rest of its wider rows, w < k <= r_j,
-    goes to one ragged pass after the tiles, which gathers r_k from the
-    table, multiplies by x_j, floors and sums, in pieces of whole rows of
-    at most half the buffer; NumPy has no repeat into a given array, so a
-    piece's index and x arrays are allocated.  NumPy copies the broadcast
-    operand of a tile of three or more rows through its buffer when the
-    rows are shorter than about 3000 entries, at 1.7 ns per entry against
-    0.5 ns unbuffered (NumPy 2.4; two rows run unbuffered), so the first
-    such tile sets np.setbufsize(16), and a finally clause restores the
-    caller's size on every exit.  The size is per thread and never changes
-    a product.
+    x and r are non-increasing int64 arrays of one length, with
+    0 <= x_i <= MAX_X and r_i >= 0.  The chunks of k are [lo, lo + CHUNK),
+    lo = 1, CHUNK + 1, ..., and every row sums every chunk it reaches whole.
+    The compiled kernel runs the call wherever _compiled_kernel loads it,
+    and the NumPy kernel, _floor_sum_numpy, everywhere else; both take the
+    routes below in the same order.  The first chunk of a row at or above
+    RECIP_X is x_i // k in int64, and that of a row below RECIP_X takes the
+    reciprocal products against the table _RECIP of r_1, ..., r_CHUNK.
 
     Later chunks: the loop runs over the chunks on the outside and over the
     rows that reach each chunk on the inside; those rows, the ones with
@@ -158,17 +250,61 @@ def floor_sum(x: np.ndarray, r: np.ndarray) -> int:
     Int64 quotients, x_i >= 2^53, and the first chunk of every row at or
     above RECIP_X: x_i // k, exact.
 
-    Sums: every partial sum of a tile or a chunk is an integer no larger
-    than its whole sum.  A first chunk sums to at most x_i * H(CHUNK),
-    H(CHUNK) < 10.3: below RECIP_X * 10.3 < 2^53 for a one-row tile, and
-    below MAX_X * 10.3 < 2^62 in int64.  A tile of several rows has
-    w <= CHUNK / 2 and every x_j <= x_i < (w + 1)^2 <= 2^26.01, so its at
-    most CHUNK entries sum to less than 2^41, and so does a piece of the
-    ragged pass, whose rows are rows of such tiles.  A later chunk
+    Sums: every partial sum of a chunk's terms, in any order, is an integer
+    no larger than the chunk's sum.  A first chunk sums to at most
+    x_i * H(CHUNK), H(CHUNK) < 10.3: below RECIP_X * 10.3 < 2^53 on the
+    reciprocal route, and below MAX_X * 10.3 < 2^62 in int64.  A later chunk
     [lo, lo + CHUNK) has at most CHUNK terms, each at most x_i / lo with
     lo > CHUNK, so it sums to less than x_i: below 2^53 on the float routes
     and below 2^63 on the int64 one.  So every float64 sum is exact and no
-    int64 sum can wrap.  Tile and chunk sums are added up as Python ints.
+    int64 chunk sum can wrap.  The compiled kernel adds a row's chunk sums
+    in int64, where the row's sum is at most D(x_i) < 2^63 for x_i <= MAX_X,
+    and the rows as Python ints; the NumPy kernel adds its tile and chunk
+    sums as Python ints.
+    """
+    kernel = _compiled_kernel()
+    if kernel is None:
+        return _floor_sum_numpy(x, r)
+    x = np.ascontiguousarray(x, dtype=np.int64)
+    r = np.ascontiguousarray(r, dtype=np.int64)
+    if x.ndim != 1 or x.shape != r.shape:
+        raise ValueError(f"x and r must be 1-D of one length, not {x.shape} and {r.shape}")
+    out = np.empty(len(r), dtype=np.int64)
+    if kernel(len(r), x.ctypes.data, r.ctypes.data, _RECIP.ctypes.data, CHUNK, RECIP_X,
+              out.ctypes.data):
+        raise MemoryError("no memory for a chunk of reciprocals")
+    return sum(out.tolist())
+
+
+def _floor_sum_numpy(x: np.ndarray, r: np.ndarray) -> int:
+    """floor_sum in NumPy: the fallback where no compiled kernel loads.
+
+    First chunk of the rows at or above RECIP_X: x_i // k in int64, one row
+    at a time.
+
+    First chunk of the rows below RECIP_X: float64 tiles.  A tile is a run
+    of rows from row i, at most CHUNK // w of them for w = min(r_i, CHUNK),
+    each more than half as wide as row i; it is a single row unless
+    x_i < (w + 1)^2, as for r_i = isqrt(x_i).  A tile of several rows is as
+    wide as its last, narrowest row instead.  Its rows times the columns
+    k = 1..w are multiplied by the table of r_1, ..., r_CHUNK, floored in
+    place in one buffer, which this call allocates, so concurrent calls
+    share nothing, and summed.  The rest of its wider rows, w < k <= r_j,
+    goes to one ragged pass after the tiles, which gathers r_k from the
+    table, multiplies by x_j, floors and sums, in pieces of whole rows of
+    at most half the buffer; NumPy has no repeat into a given array, so a
+    piece's index and x arrays are allocated.  NumPy copies the broadcast
+    operand of a tile of three or more rows through its buffer when the
+    rows are shorter than about 3000 entries, at 1.7 ns per entry against
+    0.5 ns unbuffered (NumPy 2.4; two rows run unbuffered), so the first
+    such tile sets np.setbufsize(16), and a finally clause restores the
+    caller's size on every exit.  The size is per thread and never changes
+    a product.
+
+    A tile of several rows has w <= CHUNK / 2 and every x_j <= x_i <
+    (w + 1)^2 <= 2^26.01, so its at most CHUNK entries sum to less than
+    2^41, and so does a piece of the ragged pass, whose rows are rows of
+    such tiles.  Later chunks run one row at a time, as floor_sum describes.
     """
     xs, rs = x.tolist(), r.tolist()
     if not rs or not rs[0]:

@@ -9,6 +9,8 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gcdsum import divisor_summatory, lattice_count, sieve_tau, summatory
 from gcdsum.arith import MAX_NATURAL
@@ -337,9 +339,15 @@ def preset_bufsize():
     np.setbufsize(old)
 
 
+def _numpy_divisor_summatory_batch(x):
+    """divisor_summatory_batch on the NumPy kernel, which floors with np.floor."""
+    r = summatory._isqrt(x)
+    return 2 * summatory._floor_sum_numpy(x, r) - int(r @ r)
+
+
 def test_kernel_restores_the_buffer_size_on_return(preset_bufsize, monkeypatch):
-    # the many-row tiles floor under a buffer size of 16, and the caller's
-    # size is back after the call
+    # the NumPy kernel's many-row tiles floor under a buffer size of 16, and
+    # the caller's size is back after the call
     sizes = set()
     floor = np.floor
 
@@ -349,7 +357,7 @@ def test_kernel_restores_the_buffer_size_on_return(preset_bufsize, monkeypatch):
 
     monkeypatch.setattr(summatory.np, "floor", spying)
     x, expected = _rows_1e12()
-    assert divisor_summatory_batch(x) == expected
+    assert _numpy_divisor_summatory_batch(x) == expected
     assert 16 in sizes
     assert np.getbufsize() == preset_bufsize
 
@@ -364,7 +372,7 @@ def test_kernel_restores_the_buffer_size_on_error(preset_bufsize, monkeypatch):
 
     monkeypatch.setattr(summatory.np, "floor", failing)
     with pytest.raises(RuntimeError, match="kernel's buffer size"):
-        divisor_summatory_batch(_rows_1e12()[0])
+        _numpy_divisor_summatory_batch(_rows_1e12()[0])
     assert np.getbufsize() == preset_bufsize
 
 
@@ -442,3 +450,105 @@ def test_divisor_summatory_batch_mixes_every_kind_of_row():
     assert [math.isqrt(v) for v in edges[:5]] == [CHUNK + 1, CHUNK + 1, CHUNK, CHUNK, CHUNK - 1]
     expected = 2 * 332286676471485609 + 54 + sum(divisor_summatory(v) for v in x)
     assert divisor_summatory_batch(np.array([2**53, FLOAT_TOP, *x], dtype=np.int64)) == expected
+
+
+@pytest.fixture
+def cold_kernel(monkeypatch, tmp_path):
+    """An empty kernel cache in a fresh cache directory, for the test only."""
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+    summatory._load_kernel.cache_clear()
+    yield tmp_path / "gcdsum"
+    summatory._load_kernel.cache_clear()
+
+
+def _rows_1e14():
+    """The first rows of s_identity(10^14): every route, tiles and later chunks."""
+    x = np.array([10**14 // (d * d) for d in range(1, 400)], dtype=np.int64)
+    return x, summatory._isqrt(x)
+
+
+@pytest.mark.parametrize("compiler", ["no-such-compiler", "false"],
+                         ids=["missing_compiler", "failing_compile"])
+def test_floor_sum_falls_back_to_numpy_without_a_compiled_kernel(monkeypatch, cold_kernel,
+                                                                  compiler):
+    # with no compiler on the path, or one that exits 1, floor_sum runs the
+    # NumPy kernel without a warning, which filterwarnings would turn into an
+    # error, and the failed build leaves nothing in the cache
+    monkeypatch.setattr(summatory, "_COMPILERS", (compiler,))
+    x, r = _rows_1e14()
+    assert summatory._compiled_kernel() is None
+    assert floor_sum(x, r) == summatory._floor_sum_numpy(x, r)
+    assert divisor_summatory(10**12) == 27785452449086
+    assert list(cold_kernel.glob("*")) == []
+
+
+def test_threads_on_a_cold_kernel_cache_build_once(monkeypatch, cold_kernel):
+    # four threads start floor_sum at once on an empty cache: one builds the
+    # library, the others wait for it, and all get the NumPy kernel's sum
+    builds = []
+    build = summatory._build
+
+    def counting(*args):
+        builds.append(args)
+        return build(*args)
+
+    monkeypatch.setattr(summatory, "_build", counting)
+    x, r = _rows_1e14()
+    results = [None] * 4
+    start = threading.Barrier(4)
+
+    def work(t):
+        start.wait()
+        results[t] = floor_sum(x, r)
+
+    threads = [threading.Thread(target=work, args=(t,)) for t in range(4)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=60)
+    assert not any(t.is_alive() for t in threads)
+    assert results == [summatory._floor_sum_numpy(x, r)] * 4
+    if summatory._compiled_kernel() is None:
+        pytest.skip("no compiled kernel on this host")
+    assert len(builds) == 1
+    assert [p.suffix for p in cold_kernel.iterdir()] == [".so"]
+    assert cold_kernel.stat().st_mode & 0o777 == 0o700
+
+
+def test_compiled_kernel_refuses_rows_of_unequal_length():
+    if summatory._compiled_kernel() is None:
+        pytest.skip("no compiled kernel on this host")
+    with pytest.raises(ValueError, match="one length"):
+        floor_sum(np.array([9, 4], dtype=np.int64), np.array([3], dtype=np.int64))
+
+
+# the rows of a batch: x near RECIP_X, 2^53 and MAX_X, or anywhere up to MAX_X,
+# with r = 0, isqrt(x), anything, or next to a multiple of CHUNK, all capped so
+# that the pure-Python sum stays fast; and short rows with r = isqrt(x), which
+# share many-row tiles and leave ragged remainders
+R_CAP = 2 * CHUNK + 2
+_edge_x = st.sampled_from([RECIP_X, 2**53, MAX_X - 1]).flatmap(lambda e: st.integers(e - 2, e + 1))
+_short_x = st.one_of(st.integers(0, 10**6), st.integers(0, SHORT_X))
+
+
+@st.composite
+def _row(draw):
+    x = draw(st.one_of(_edge_x, st.integers(0, MAX_X), _short_x))
+    r = draw(st.one_of(
+        st.just(0),
+        st.just(min(math.isqrt(x), R_CAP)),
+        st.integers(0, R_CAP),
+        st.builds(lambda m, e: m * CHUNK + e, st.integers(1, 2), st.integers(-1, 1)),
+    ))
+    return x, r
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(st.lists(_row(), max_size=12), st.lists(_short_x.map(lambda x: (x, math.isqrt(x))),
+                                               max_size=24))
+def test_kernels_agree_with_python_floor_sums(rows, short_rows):
+    # rows are paired by rank, so both x and r are non-increasing
+    x = sorted((v for v, _ in rows + short_rows), reverse=True)
+    r = sorted((w for _, w in rows + short_rows), reverse=True)
+    xa, ra = np.array(x, dtype=np.int64), np.array(r, dtype=np.int64)
+    assert floor_sum(xa, ra) == summatory._floor_sum_numpy(xa, ra) == _python_floor_sum(x, r)

@@ -32,10 +32,8 @@ call in a process, cached per user and loaded with ctypes; it takes each
 row's first chunk whole and adds the rows as Python ints.  Where it
 cannot be built or loaded, or on an x86-64 CPU without SSE4.1,
 floor_sum runs the NumPy kernel, _floor_sum_numpy, which the tests also
-use as the reference.  The NumPy kernel sums the first chunk in float64
-tiles, many short rows or one long row at a time; a tile of several rows
-is as wide as its narrowest row, and the rest of its wider rows goes to
-one ragged pass per call.
+use as the reference.  The NumPy kernel runs floor_sum.c's loops one row
+at a time, so the two can be checked against each other line by line.
 
 lattice_count evaluates the unfolded floor sum sum_{r<=M} floor(M/r)
 instead, batching the O(sqrt M) maximal ranges of r over which the
@@ -91,6 +89,8 @@ def _reciprocals(k: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
 _RECIP = np.arange(1, CHUNK + 1, dtype=np.float64)
 _reciprocals(_RECIP, out=_RECIP)
 _RECIP.flags.writeable = False
+# its address never changes, so the compiled calls do not look it up each time
+_RECIP_ADDRESS = _RECIP.ctypes.data
 
 
 def _check_domain(x: int, name: str) -> None:
@@ -259,8 +259,8 @@ def floor_sum(x: np.ndarray, r: np.ndarray) -> int:
     and below 2^63 on the int64 one.  So every float64 sum is exact and no
     int64 chunk sum can wrap.  The compiled kernel adds a row's chunk sums
     in int64, where the row's sum is at most D(x_i) < 2^63 for x_i <= MAX_X,
-    and the rows as Python ints; the NumPy kernel adds its tile and chunk
-    sums as Python ints.
+    and the rows as Python ints; the NumPy kernel adds its chunk sums as
+    Python ints.
     """
     kernel = _compiled_kernel()
     if kernel is None:
@@ -270,7 +270,7 @@ def floor_sum(x: np.ndarray, r: np.ndarray) -> int:
     if x.ndim != 1 or x.shape != r.shape:
         raise ValueError(f"x and r must be 1-D of one length, not {x.shape} and {r.shape}")
     out = np.empty(len(r), dtype=np.int64)
-    if kernel(len(r), x.ctypes.data, r.ctypes.data, _RECIP.ctypes.data, CHUNK, RECIP_X,
+    if kernel(len(r), x.ctypes.data, r.ctypes.data, _RECIP_ADDRESS, CHUNK, RECIP_X,
               out.ctypes.data):
         raise MemoryError("no memory for a chunk of reciprocals")
     return sum(out.tolist())
@@ -279,92 +279,27 @@ def floor_sum(x: np.ndarray, r: np.ndarray) -> int:
 def _floor_sum_numpy(x: np.ndarray, r: np.ndarray) -> int:
     """floor_sum in NumPy: the fallback where no compiled kernel loads.
 
-    First chunk of the rows at or above RECIP_X: x_i // k in int64, one row
-    at a time.
-
-    First chunk of the rows below RECIP_X: float64 tiles.  A tile is a run
-    of rows from row i, at most CHUNK // w of them for w = min(r_i, CHUNK),
-    each more than half as wide as row i; it is a single row unless
-    x_i < (w + 1)^2, as for r_i = isqrt(x_i).  A tile of several rows is as
-    wide as its last, narrowest row instead.  Its rows times the columns
-    k = 1..w are multiplied by the table of r_1, ..., r_CHUNK, floored in
-    place in one buffer, which this call allocates, so concurrent calls
-    share nothing, and summed.  The rest of its wider rows, w < k <= r_j,
-    goes to one ragged pass after the tiles, which gathers r_k from the
-    table, multiplies by x_j, floors and sums, in pieces of whole rows of
-    at most half the buffer; NumPy has no repeat into a given array, so a
-    piece's index and x arrays are allocated.  NumPy copies the broadcast
-    operand of a tile of three or more rows through its buffer when the
-    rows are shorter than about 3000 entries, at 1.7 ns per entry against
-    0.5 ns unbuffered (NumPy 2.4; two rows run unbuffered), so the first
-    such tile sets np.setbufsize(16), and a finally clause restores the
-    caller's size on every exit.  The size is per thread and never changes
-    a product.
-
-    A tile of several rows has w <= CHUNK / 2 and every x_j <= x_i <
-    (w + 1)^2 <= 2^26.01, so its at most CHUNK entries sum to less than
-    2^41, and so does a piece of the ragged pass, whose rows are rows of
-    such tiles.  Later chunks run one row at a time, as floor_sum describes.
+    It runs floor_sum.c's loops one row at a time, each over at most CHUNK
+    values of k in one buffer that this call allocates, so concurrent calls
+    share nothing.  The first chunk of a row at or above RECIP_X is
+    x_i // k in int64, and that of a row below it one multiply, floor and
+    sum against _RECIP; later chunks run as floor_sum describes.
     """
     xs, rs = x.tolist(), r.tolist()
     if not rs or not rs[0]:
         return 0
     # rows [0, ints) take the int64 route, rows [ints, divs) the float divide
-    # and rows [divs, stop), those below RECIP_X with r_i >= 1, the reciprocals
+    # and rows [divs, len(x)) the reciprocal products
     ints = bisect.bisect_right(xs, -(2**53), key=operator.neg)
     divs = bisect.bisect_right(xs, -RECIP_X, key=operator.neg)
-    stop = bisect.bisect_right(rs, -1, key=operator.neg)
-    # the first chunk of the rows at or above RECIP_X, whole, in int64
     total = sum(int((v // np.arange(1, min(w, CHUNK) + 1, dtype=np.int64)).sum())
                 for v, w in zip(xs[:divs], rs))
-    xf = x.astype(np.float64)
-    buf = np.empty(min(CHUNK, stop * rs[0]))
-    # per tile its row count and its cut: the tile sums each row j over
-    # k <= cut and the ragged pass over cut < k <= r_j; and the caller's
-    # buffer size once a tile of three or more rows set 16
-    runs, cuts, bufsize, ragged = [], [], None, False
-    i = divs
-    try:
-        while i < stop:
-            cut, w = rs[i], min(rs[i], CHUNK)
-            j = i + 1
-            if xs[i] < (w + 1) ** 2:
-                j = min(i + CHUNK // w, bisect.bisect_left(rs, -(w // 2), i, key=operator.neg))
-                if bufsize is None and j - i > 2:
-                    bufsize = np.setbufsize(16)
-                if w > rs[j - 1]:
-                    w = cut = rs[j - 1]
-                    ragged = True
-            runs.append(j - i)
-            cuts.append(cut)
-            flat = buf[: (j - i) * w]
-            np.multiply(xf[i:j, None], _RECIP[:w], out=flat.reshape(j - i, w))
-            np.floor(flat, out=flat)
-            total += int(flat.sum())
-            i = j
-    finally:
-        if bufsize is not None:
-            np.setbufsize(bufsize)
-    if ragged:
-        # the n_j entries cut < k <= r_j of each row j, in pieces of whole rows;
-        # entry t of the pass has k - 1 = t + shift_j, always inside the table,
-        # so take wraps instead of checking every index
-        cut = np.array(cuts).repeat(runs)
-        n = r[divs:stop] - cut
-        ends = n.cumsum()
-        shift = cut + n - ends
-        a, i, end = 0, 0, int(ends[-1])
-        while a < end:
-            j = int(ends.searchsorted(a + len(buf) // 2, "right"))
-            b = int(ends[j - 1])
-            k = shift[i:j].repeat(n[i:j])
-            k += np.arange(a, b)
-            q = buf[: b - a]
-            _RECIP.take(k, out=q, mode="wrap")
-            q *= xf[divs + i : divs + j].repeat(n[i:j])
-            np.floor(q, out=q)
-            total += int(q.sum())
-            a, i = b, j
+    buf = np.empty(min(CHUNK, rs[0]))
+    for v, w in zip(xs[divs:], rs[divs:]):
+        q = buf[: min(w, CHUNK)]
+        np.multiply(_RECIP[: len(q)], float(v), out=q)
+        np.floor(q, out=q)
+        total += int(q.sum())
     k = np.arange(CHUNK + 1, min(2 * CHUNK, rs[0]) + 1, dtype=np.float64)
     recip = None
     for lo in range(CHUNK + 1, rs[0] + 1, CHUNK):

@@ -50,6 +50,15 @@ def test_regression_value_at_1e6():
     assert s_lemma1(10**6) == 21107131
 
 
+@pytest.mark.parametrize(("n", "value"), [(10**14, 5140534231877816),
+                                          (10**15, 55192942833495679)])
+def test_identity_at_frozen_values_confirmed_by_lemma1(monkeypatch, n, value):
+    # s_lemma1 gave each value once (52 s and 226 s); 10^14 spans two blocks
+    # of d and 10^15 takes the float divide at d = 1 and the products above
+    _set_cap(monkeypatch, None)
+    assert s_identity(n) == value
+
+
 def test_brute_matches_pair_enumeration():
     for n in list(range(1, 120)) + [137, 200, 256]:
         assert s_brute(n) == s_by_pair_enumeration(n)
@@ -86,8 +95,8 @@ def test_s_upto_matches_identity():
 
 def test_s_upto_matches_identity_under_a_lowered_sieve_cap(monkeypatch):
     # at the default cap every N <= 20000 is one gather; at cap 100 each N
-    # above 100 sends up to 14 large terms through divisor_summatory_batch,
-    # in tiles of several rows with ragged remainders
+    # above 100 sends up to 14 large terms, short rows of many widths,
+    # through divisor_summatory_batch
     table = s_upto(20000)
     monkeypatch.setenv("GCDSUM_SIEVE_CAP", "100")
     for n in range(1, 20001):
@@ -325,7 +334,7 @@ def test_identity_threads_on_a_cold_table(table_builds, monkeypatch):
           + [10**10 + 1, 10**9 + 7, 10**12 + 1])
     serial = [s_identity(n) for n in ns]
     # and every thread runs the kernels on rows of all three routes, in
-    # reciprocal tiles of one and of many rows and in shared later chunks
+    # reciprocal first chunks of long and short rows and in shared later chunks
     rows = np.array([2**53 + 1, 2**53 - 1, RECIP_X, RECIP_X - 1, RECIP_X - 2, 10**12,
                      10**12 - 1, 10**8, 10**8 - 1, 10**6, 10**6 - 1], dtype=np.int64)
     widths = np.array([3 * CHUNK] * 3 + [2 * CHUNK] * 4 + [10**4] * 2 + [10**3] * 2)

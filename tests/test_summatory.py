@@ -2,7 +2,6 @@ import functools
 import itertools
 import math
 import random
-import sys
 import threading
 from fractions import Fraction
 
@@ -19,7 +18,7 @@ from oracles import lattice_by_enumeration, tau_by_enumeration, tau_by_trial_div
 
 # the float route takes every x below 2^53
 FLOAT_TOP = 2**53 - 1
-# below (CHUNK + 1)^2 a whole row fits one chunk of k, and several rows one tile
+# below (CHUNK + 1)^2 a row with r = isqrt(x) fits one chunk of k
 SHORT_X = (CHUNK + 1) ** 2
 
 
@@ -163,7 +162,7 @@ def _harmonic_chunk():
 
 
 def test_a_whole_first_chunk_below_recip_x_sums_exactly_in_float64():
-    # a row below RECIP_X sums its first chunk as one tile: every partial sum
+    # a row below RECIP_X sums its first chunk whole in float64: every partial sum
     # is at most x * H(CHUNK), which must stay below 2^53
     assert (RECIP_X - 1) * _harmonic_chunk() < 2**53
 
@@ -246,7 +245,7 @@ def test_divisor_summatory_across_the_float_route_limit():
 
 
 def test_divisor_summatory_across_recip_x():
-    # RECIP_X - 1 takes the reciprocal tile and products, RECIP_X and
+    # RECIP_X - 1 takes the reciprocal products, RECIP_X and
     # RECIP_X + 1 the int64 first chunk and the float divide; the value at
     # RECIP_X - 1 is lattice_count(RECIP_X - 1), frozen here because it takes
     # over 10 s, and D gains tau(x) at each of the next two steps
@@ -260,7 +259,7 @@ def test_divisor_summatory_across_recip_x():
     assert [d[1] - d[0], d[2] - d[1]] == [256, 16]
 
 
-def _tile_rows(hi, lo, rows, seed):
+def _seeded_rows(hi, lo, rows, seed):
     """rows seeded x in [lo, hi], sorted non-increasing, with both ends included."""
     rng = np.random.default_rng(seed)
     x = np.concatenate([[hi, lo], rng.integers(lo, hi + 1, rows - 2)])
@@ -268,23 +267,24 @@ def _tile_rows(hi, lo, rows, seed):
 
 
 @pytest.mark.parametrize("x", [
-    # r = 1: one full tile of CHUNK rows, then a last tile of 5 rows
-    _tile_rows(3, 1, CHUNK + 5, 1),
-    # r = CHUNK - 1 and r = CHUNK: one-row tiles, of CHUNK entries for r = CHUNK
-    _tile_rows(CHUNK * CHUNK - 1, (CHUNK - 1) ** 2, 3, 2),
-    _tile_rows(SHORT_X - 1, CHUNK * CHUNK, 3, 3),
+    # r = 1 on CHUNK + 5 rows
+    _seeded_rows(3, 1, CHUNK + 5, 1),
+    # r = CHUNK - 1 and r = CHUNK: rows just short of and exactly one chunk wide
+    _seeded_rows(CHUNK * CHUNK - 1, (CHUNK - 1) ** 2, 3, 2),
+    _seeded_rows(SHORT_X - 1, CHUNK * CHUNK, 3, 3),
     np.array([SHORT_X - 1, CHUNK * CHUNK, CHUNK * CHUNK - 1], dtype=np.int64),
-    # r = 128 on every row: 128 rows fill a tile of exactly CHUNK entries
-    _tile_rows(129 * 129 - 1, 128 * 128, 128, 4),
-    _tile_rows(129 * 129 - 1, 128 * 128, 300, 5),
-    # ragged tiles: the short rows of s_identity(10^12) and of a steeper range
+    # r = 128 on every row: 128 rows of CHUNK entries in all, and 300 rows
+    _seeded_rows(129 * 129 - 1, 128 * 128, 128, 4),
+    _seeded_rows(129 * 129 - 1, 128 * 128, 300, 5),
+    # rows of falling width: the short rows of s_identity(10^12) and of a
+    # steeper range
     np.array([10**12 // (d * d) for d in range(62, 2763)], dtype=np.int64),
     np.array([10**8 // (d * d) for d in range(1, 60)], dtype=np.int64),
-    _tile_rows(SHORT_X - 1, 1, 500, 6),
+    _seeded_rows(SHORT_X - 1, 1, 500, 6),
 ], ids=["r1", "r_chunk_minus_1", "r_chunk", "r_chunk_edges", "full_tile", "r128",
         "rows_of_1e12", "rows_of_1e8", "mixed"])
 def test_tiles_match_per_call_divisor_summatory(x):
-    # the batch packs short rows into shared tiles; one call per row never does
+    # short rows in one batch sum as they do one call per row
     assert divisor_summatory_batch(x) == sum(divisor_summatory(v) for v in x.tolist())
 
 
@@ -293,28 +293,25 @@ def _python_floor_sum(x, r):
 
 
 def _square_rows(widths):
-    """Rows x = w^2 with r = w: each row below CHUNK can start a tile of several."""
+    """Rows x = w^2 with r = w, each as wide as its square root."""
     return [w * w for w in widths], list(widths)
 
 
-# rows d in [500, 2763) of 10^12: many-row tiles that spread by at most 66
-# leave 12672 entries in 2082 rows, more than one piece of CHUNK // 2
+# rows d in [500, 2763) of 10^12: 2263 short rows of widths 2000 down to 361
 ROWS_1E12_LATE = [10**12 // (d * d) for d in range(500, 2763)]
 
 
 @pytest.mark.parametrize(("x", "r"), [
-    # four rows of one width share one dense tile and leave nothing
+    # four rows of one width
     ([2600, 2590, 2550, 2500], [50] * 4),
-    # the row one entry wider than the narrowest leaves exactly one entry
+    # a row one entry wider than the next
     ([2700, 2500], [51, 50]),
-    # rows from 300 down to 151, just over half as wide, leave 149 entries
-    # of the first row; three rows, so under the small buffer size
+    # rows from 300 down to 151, just over half as wide
     _square_rows([300, 151, 151]),
-    # rows with r = 0 after the tiles are skipped by the ragged pass
+    # rows with r = 0 at the end add nothing
     ([2700, 2600, 2500, 7, 0, 0], [51, 51, 50, 0, 0, 0]),
-    # single-row tiles of r = CHUNK // 2 + 1 and wider, then two-row tiles at
-    # r = CHUNK // 2 (remainder 1) and below (remainder 2000), then a
-    # three-row tile
+    # rows from CHUNK + 5 over CHUNK // 2 + 1, CHUNK // 2 and CHUNK // 2 - 1
+    # down to widths 8000 and 4950
     _square_rows([CHUNK + 5, CHUNK // 2 + 1, CHUNK // 2, CHUNK // 2 - 1,
                   8000, 6000, 5000, 4990, 4950]),
     (ROWS_1E12_LATE, [math.isqrt(v) for v in ROWS_1E12_LATE]),
@@ -324,89 +321,9 @@ def test_ragged_remainders_match_python_floor_sums(x, r):
     assert _floor_sum(x, r) == _python_floor_sum(x, r)
 
 
-@functools.cache
-def _rows_1e12():
-    """The large terms of s_identity(10^12) and their D(x), one call per row."""
-    x = np.array([10**12 // (d * d) for d in range(1, 2763)], dtype=np.int64)
-    return x, sum(divisor_summatory(v) for v in x.tolist())
-
-
-@pytest.fixture
-def preset_bufsize():
-    """A distinctive caller's NumPy buffer size, reset after the test."""
-    old = np.setbufsize(4096)
-    yield 4096
-    np.setbufsize(old)
-
-
-def _numpy_divisor_summatory_batch(x):
-    """divisor_summatory_batch on the NumPy kernel, which floors with np.floor."""
-    r = summatory._isqrt(x)
-    return 2 * summatory._floor_sum_numpy(x, r) - int(r @ r)
-
-
-def test_kernel_restores_the_buffer_size_on_return(preset_bufsize, monkeypatch):
-    # the NumPy kernel's many-row tiles floor under a buffer size of 16, and
-    # the caller's size is back after the call
-    sizes = set()
-    floor = np.floor
-
-    def spying(*args, **kwargs):
-        sizes.add(np.getbufsize())
-        return floor(*args, **kwargs)
-
-    monkeypatch.setattr(summatory.np, "floor", spying)
-    x, expected = _rows_1e12()
-    assert _numpy_divisor_summatory_batch(x) == expected
-    assert 16 in sizes
-    assert np.getbufsize() == preset_bufsize
-
-
-def test_kernel_restores_the_buffer_size_on_error(preset_bufsize, monkeypatch):
-    floor = np.floor
-
-    def failing(*args, **kwargs):
-        if np.getbufsize() == 16:
-            raise RuntimeError("floor failed under the kernel's buffer size")
-        return floor(*args, **kwargs)
-
-    monkeypatch.setattr(summatory.np, "floor", failing)
-    with pytest.raises(RuntimeError, match="kernel's buffer size"):
-        _numpy_divisor_summatory_batch(_rows_1e12()[0])
-    assert np.getbufsize() == preset_bufsize
-
-
-def test_kernel_buffer_size_is_per_thread(preset_bufsize):
-    # four threads preset four sizes and run the kernel at once; each gets
-    # the same sum and keeps its own size, and this thread keeps its own
-    x, expected = _rows_1e12()
-    sizes = [1024, 2048, 8192, 16384]
-    seen = [None] * 4
-    start = threading.Barrier(4)
-
-    def work(t):
-        np.setbufsize(sizes[t])
-        start.wait()
-        seen[t] = [(divisor_summatory_batch(x), np.getbufsize()) for _ in range(3)]
-
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        threads = [threading.Thread(target=work, args=(t,)) for t in range(4)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=60)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(t.is_alive() for t in threads)
-    assert seen == [[(expected, size)] * 3 for size in sizes]
-    assert np.getbufsize() == preset_bufsize
-
-
 def test_kernel_isqrt_is_exact_at_every_square_edge():
     # the kernel takes r = isqrt(x) from _isqrt; check it at every square edge
-    # up to (2 CHUNK + 1)^2, past the widest tile and the first chunk edge of k
+    # up to (2 CHUNK + 1)^2, past the first chunk edge of k
     k = np.arange(1, 2 * CHUNK + 2, dtype=np.int64)
     x = np.concatenate([k * k - 1, k * k, k * k + 1])
     assert summatory._isqrt(x).tolist() == [math.isqrt(v) for v in x.tolist()]
@@ -441,7 +358,7 @@ def test_divisor_summatory_batch_matches_each_row():
 def test_divisor_summatory_batch_mixes_every_kind_of_row():
     # in one call: two rows >= 2^53 on the int64 route, then the float divide,
     # whole first chunks just below RECIP_X, rows with r = CHUNK + 1, CHUNK and
-    # CHUNK - 1 around the edge of the first chunk, and many-row tiles; the
+    # CHUNK - 1 around the edge of the first chunk, and short rows; the
     # values at 2^53 and 2^53 - 1 are frozen, as in the float-route test
     edges = [SHORT_X + 2 * CHUNK + 2, SHORT_X, SHORT_X - 1, CHUNK * CHUNK,
              CHUNK * CHUNK - 1, (CHUNK - 1) ** 2]
@@ -462,7 +379,7 @@ def cold_kernel(monkeypatch, tmp_path):
 
 
 def _rows_1e14():
-    """The first rows of s_identity(10^14): every route, tiles and later chunks."""
+    """The first rows of s_identity(10^14): every route, first and later chunks."""
     x = np.array([10**14 // (d * d) for d in range(1, 400)], dtype=np.int64)
     return x, summatory._isqrt(x)
 
@@ -524,8 +441,7 @@ def test_compiled_kernel_refuses_rows_of_unequal_length():
 
 # the rows of a batch: x near RECIP_X, 2^53 and MAX_X, or anywhere up to MAX_X,
 # with r = 0, isqrt(x), anything, or next to a multiple of CHUNK, all capped so
-# that the pure-Python sum stays fast; and short rows with r = isqrt(x), which
-# share many-row tiles and leave ragged remainders
+# that the pure-Python sum stays fast; and short rows with r = isqrt(x)
 R_CAP = 2 * CHUNK + 2
 _edge_x = st.sampled_from([RECIP_X, 2**53, MAX_X - 1]).flatmap(lambda e: st.integers(e - 2, e + 1))
 _short_x = st.one_of(st.integers(0, 10**6), st.integers(0, SHORT_X))

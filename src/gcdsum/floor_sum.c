@@ -22,10 +22,8 @@
    docstring's bounds, so every order gives the same exact sum.  A row's
    sum is at most D(x_i) < 2^63 for x_i <= MAX_X, so out[i] cannot wrap.
 
-   On x86-64 the loops are cloned for x86-64-v3 (AVX2) and x86-64-v2.  The
-   baseline clone, which target_clones requires, cannot vectorize floor
-   without SSE4.1's roundpd and is slower than the NumPy kernel, so the
-   loader takes the NumPy kernel on a CPU that gcdsum_supported rejects.
+   On x86-64 the loops are cloned for x86-64-v3 (AVX2), x86-64-v2 and the
+   baseline, and the resolver picks one when the library loads.
    gcdsum_floor_sum returns 0, or -1 when the buffer of a later chunk's
    reciprocals cannot be allocated. */
 
@@ -38,16 +36,6 @@
 #else
 #define CLONES
 #endif
-
-int gcdsum_supported(void)
-{
-#if defined(__x86_64__)
-    __builtin_cpu_init();
-    return __builtin_cpu_supports("sse4.1") != 0;
-#else
-    return 1;
-#endif
-}
 
 /* sum_{j<n} floor(v * recip[j]) and sum_{j<n} floor(v / (klo + j)) */
 static inline double mul_sum(double v, const double *recip, int n)

@@ -30,10 +30,10 @@ Two kernels run these routes in the same loop order.  The compiled one,
 floor_sum.c, is built with the system C compiler on the first floor_sum
 call in a process, cached per user and loaded with ctypes; it takes each
 row's first chunk whole and adds the rows as Python ints.  Where it
-cannot be built or loaded, or on an x86-64 CPU without SSE4.1,
-floor_sum runs the NumPy kernel, _floor_sum_numpy, which the tests also
-use as the reference.  The NumPy kernel runs floor_sum.c's loops one row
-at a time, so the two can be checked against each other line by line.
+cannot be built or loaded, floor_sum runs the NumPy kernel,
+_floor_sum_numpy, which the tests also use as the reference.  The NumPy
+kernel runs floor_sum.c's loops one row at a time, so the two can be
+checked against each other line by line.
 
 lattice_count evaluates the unfolded floor sum sum_{r<=M} floor(M/r)
 instead, batching the O(sqrt M) maximal ranges of r over which the
@@ -124,7 +124,7 @@ _SOURCE = Path(__file__).with_name("floor_sum.c")
 # no fused multiply-adds.  -fopenmp-simd enables only the source's `omp simd`
 # reductions, which the proofs allow, and -fno-trapping-math lets floor
 # vectorize; neither changes a value.  No -march=native: the cached library
-# must run on any CPU the loader accepts.
+# must run on any CPU of its architecture.
 _CFLAGS = ("-O3", "-shared", "-fPIC", "-ffp-contract=off", "-fno-trapping-math",
            "-fopenmp-simd")
 _COMPILERS = ("cc", "gcc")
@@ -169,7 +169,7 @@ def _load_kernel():
     machine, so a changed source or flag builds a new one.  The compiler
     writes a temporary file that is then renamed into place, so processes
     that build at once each leave a whole library.  None when there is no
-    compiler, the build or the load fails, or the CPU is refused.
+    compiler, the OS is not POSIX, or the build or the load fails.
     """
     compiler = next(filter(None, map(shutil.which, _COMPILERS)), None)
     if compiler is None or os.name != "posix":
@@ -181,10 +181,6 @@ def _load_kernel():
             _build(compiler, lib)
         dll = ctypes.CDLL(str(lib))
     except (OSError, RuntimeError):
-        return None
-    dll.gcdsum_supported.argtypes = ()
-    dll.gcdsum_supported.restype = ctypes.c_int
-    if not dll.gcdsum_supported():
         return None
     kernel = dll.gcdsum_floor_sum
     kernel.argtypes = (ctypes.c_int64, ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p,

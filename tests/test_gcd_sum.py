@@ -281,7 +281,7 @@ def lemma1_at_seeded_n():
 
 
 @pytest.mark.parametrize("cap", ["10", "1000", None], ids=["cap10", "cap1000", "default_cap"])
-def test_identity_on_seeded_n_with_tiles_and_fold(monkeypatch, lemma1_at_seeded_n, cap):
+def test_identity_on_seeded_n_with_batch_and_fold(monkeypatch, lemma1_at_seeded_n, cap):
     _set_cap(monkeypatch, cap)
     for n, value in lemma1_at_seeded_n.items():
         assert s_identity(n) == value, n

@@ -1,7 +1,11 @@
+import ctypes
 import functools
 import itertools
 import math
+import platform
 import random
+import shutil
+import subprocess
 import threading
 from fractions import Fraction
 
@@ -13,6 +17,7 @@ from hypothesis import strategies as st
 
 from gcdsum import divisor_summatory, lattice_count, sieve_tau, summatory
 from gcdsum.arith import MAX_NATURAL
+from gcdsum.gcd_sum import TABLE_CAP
 from gcdsum.summatory import CHUNK, MAX_X, RECIP_X, divisor_summatory_batch, floor_sum
 from oracles import lattice_by_enumeration, tau_by_enumeration, tau_by_trial_division
 
@@ -281,9 +286,9 @@ def _seeded_rows(hi, lo, rows, seed):
     np.array([10**12 // (d * d) for d in range(62, 2763)], dtype=np.int64),
     np.array([10**8 // (d * d) for d in range(1, 60)], dtype=np.int64),
     _seeded_rows(SHORT_X - 1, 1, 500, 6),
-], ids=["r1", "r_chunk_minus_1", "r_chunk", "r_chunk_edges", "full_tile", "r128",
+], ids=["r1", "r_chunk_minus_1", "r_chunk", "r_chunk_edges", "r128_chunk_entries", "r128",
         "rows_of_1e12", "rows_of_1e8", "mixed"])
-def test_tiles_match_per_call_divisor_summatory(x):
+def test_short_row_batches_match_per_call_divisor_summatory(x):
     # short rows in one batch sum as they do one call per row
     assert divisor_summatory_batch(x) == sum(divisor_summatory(v) for v in x.tolist())
 
@@ -315,9 +320,9 @@ ROWS_1E12_LATE = [10**12 // (d * d) for d in range(500, 2763)]
     _square_rows([CHUNK + 5, CHUNK // 2 + 1, CHUNK // 2, CHUNK // 2 - 1,
                   8000, 6000, 5000, 4990, 4950]),
     (ROWS_1E12_LATE, [math.isqrt(v) for v in ROWS_1E12_LATE]),
-], ids=["one_width", "one_entry", "half_width", "r0_after_tiles",
+], ids=["one_width", "one_entry", "half_width", "r0_at_the_end",
         "around_half_chunk", "rows_of_1e12_late"])
-def test_ragged_remainders_match_python_floor_sums(x, r):
+def test_rows_of_falling_width_match_python_floor_sums(x, r):
     assert _floor_sum(x, r) == _python_floor_sum(x, r)
 
 
@@ -468,3 +473,60 @@ def test_kernels_agree_with_python_floor_sums(rows, short_rows):
     r = sorted((w for _, w in rows + short_rows), reverse=True)
     xa, ra = np.array(x, dtype=np.int64), np.array(r, dtype=np.int64)
     assert floor_sum(xa, ra) == summatory._floor_sum_numpy(xa, ra) == _python_floor_sum(x, r)
+
+
+@pytest.fixture(scope="module", params=["x86-64", "x86-64-v2"])
+def one_clone(request, tmp_path_factory):
+    """floor_sum.c built for one x86-64 target alone and loaded with ctypes.
+
+    The resolver of the shipped library picks x86-64-v3 on any CPU with
+    AVX2, so only these builds run the clones that other CPUs get.
+    """
+    compiler = next(filter(None, map(shutil.which, summatory._COMPILERS)), None)
+    if compiler is None or platform.machine() != "x86_64":
+        pytest.skip("needs a C compiler on x86-64")
+    tmp = tmp_path_factory.mktemp(request.param)
+    source, lib = tmp / "one_clone.c", tmp / "one_clone.so"
+    source.write_text('#define target_clones(...)\n#include "floor_sum.c"\n')
+    subprocess.run([compiler, *summatory._CFLAGS, f"-march={request.param}",
+                    f"-I{summatory._SOURCE.parent}", "-o", str(lib), str(source)],
+                   capture_output=True, timeout=300, check=True)
+    kernel = ctypes.CDLL(str(lib)).gcdsum_floor_sum
+    kernel.argtypes = (ctypes.c_int64, ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p,
+                       ctypes.c_int64, ctypes.c_int64, ctypes.c_void_p)
+    kernel.restype = ctypes.c_int
+    return kernel
+
+
+def _first_block(n):
+    """The rows of s_identity(n)'s first block of large terms, with r = isqrt(x)."""
+    d0 = math.isqrt(n // (TABLE_CAP + 1)) + 1
+    x = n // np.arange(1, min(d0, CHUNK + 1), dtype=np.int64) ** 2
+    return x, summatory._isqrt(x)
+
+
+def _edge_batch(rng):
+    """A batch drawn like test_kernels_agree_with_python_floor_sums' rows: x
+    near RECIP_X, 2^53 and MAX_X with r = 0, isqrt(x) or next to a multiple of
+    CHUNK, capped at R_CAP, and short rows with r = isqrt(x)."""
+    rows = []
+    for _ in range(rng.randint(1, 6)):
+        x = rng.choice([RECIP_X, 2**53, MAX_X - 1]) + rng.randint(-2, 1)
+        rows.append((x, rng.choice([0, min(math.isqrt(x), R_CAP),
+                                    rng.randint(1, 2) * CHUNK + rng.randint(-1, 1)])))
+    for _ in range(rng.randint(0, 12)):
+        x = rng.randint(0, SHORT_X)
+        rows.append((x, math.isqrt(x)))
+    # paired by rank, so both x and r are non-increasing
+    return sorted((v for v, _ in rows), reverse=True), sorted((w for _, w in rows), reverse=True)
+
+
+def test_every_clone_target_matches_python_floor_sums(monkeypatch, one_clone):
+    blocks = {n: _first_block(n) for n in (10**12 + 39, 10**14)}
+    shipped = {n: floor_sum(*block) for n, block in blocks.items()}
+    monkeypatch.setattr(summatory, "_compiled_kernel", lambda: one_clone)
+    rng = random.Random(1818)
+    for _ in range(100):
+        x, r = _edge_batch(rng)
+        assert _floor_sum(x, r) == _python_floor_sum(x, r), (x, r)
+    assert {n: floor_sum(*block) for n, block in blocks.items()} == shipped

@@ -33,7 +33,7 @@ from test_summatory import (
     test_floor_sum_chunks_cannot_wrap,
     test_floor_sum_on_both_sides_of_float_x,
     test_folded_and_blocked_routes_agree_random_large,
-    test_rows_of_falling_width_match_python_floor_sums,
+    test_ragged_remainders_match_python_floor_sums,
     test_short_row_batches_match_per_call_divisor_summatory,
 )
 

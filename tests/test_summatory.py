@@ -306,6 +306,7 @@ def _square_rows(widths):
 ROWS_1E12_LATE = [10**12 // (d * d) for d in range(500, 2763)]
 
 
+# ragged batches: rows of unequal, falling width
 @pytest.mark.parametrize(("x", "r"), [
     # four rows of one width
     ([2600, 2590, 2550, 2500], [50] * 4),
@@ -322,7 +323,7 @@ ROWS_1E12_LATE = [10**12 // (d * d) for d in range(500, 2763)]
     (ROWS_1E12_LATE, [math.isqrt(v) for v in ROWS_1E12_LATE]),
 ], ids=["one_width", "one_entry", "half_width", "r0_at_the_end",
         "around_half_chunk", "rows_of_1e12_late"])
-def test_rows_of_falling_width_match_python_floor_sums(x, r):
+def test_ragged_remainders_match_python_floor_sums(x, r):
     assert _floor_sum(x, r) == _python_floor_sum(x, r)
 
 

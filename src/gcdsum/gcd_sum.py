@@ -40,11 +40,12 @@ identity  folds the same inner count into the divisor summatory function,
           fewer than 2 N^(1/3) table reads in place of sqrt(N).  The batch
           takes the quotients in summatory's compiled kernel, or in its
           NumPy kernel where that does not load, and runs over
-          sqrt(N) / CHUNK later chunks of k, building one chunk of
-          reciprocals for each that two of its rows reach.  At N = 10^12
-          that is 2762 large terms in one block, 8.5 million quotients,
-          61 later chunks, 30 with reciprocals built, and 16000 table
-          reads.  Any L >= 1 and
+          sqrt(N) / CHUNK later chunks of k.  The compiled kernel builds
+          one chunk of reciprocals for each that two of its rows below
+          RECIP_X reach, the NumPy kernel for each that one such row
+          reaches.  At N = 10^12 that is 2762 large terms in one block,
+          8.5 million quotients, 61 later chunks, 30 with reciprocals
+          built (all 61 in NumPy), and 16000 table reads.  Any L >= 1 and
           any d1 in [d0, sqrt(N) + 1] give the same integer; they only move
           the cost between the ranges.
 
@@ -170,10 +171,12 @@ def _folded_tail(prefix: np.ndarray, n: int, d1: int) -> int:
 def s_identity(n: int) -> int:
     """S(N) as a sum of divisor summatory values; the production path.
 
-    The d < d1 run in blocks of CHUNK values of d.  In each block the
-    d < d0, whose floor(N / d^2) exceed L = min(TABLE_CAP, sieve cap), go
-    to divisor_summatory_batch, and the rest are gathered from the table's
-    prefix sums.  The d >= d1 are folded.  While the table half has at most
+    The d < d1 run in blocks of CHUNK values of d, which bound the arrays
+    that a call holds at once: one batch of all 1.3 million large terms at
+    MAX_X peaked at 114 MB against 39 MB, for no speed gain (BENCH_19.json).
+    In each block the d < d0, whose floor(N / d^2) exceed
+    L = min(TABLE_CAP, sieve cap), go to divisor_summatory_batch, and the
+    rest are gathered from the table's prefix sums.  The d >= d1 are folded.  While the table half has at most
     CHUNK terms, d1 = sqrt(N) + 1 and nothing is folded.
     """
     check_argument(n, Algorithm.IDENTITY_SUMMATORY)

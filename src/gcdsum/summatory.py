@@ -20,20 +20,18 @@ by one of three exact routes:
 
 RECIP_X = 818836295885544, about 2^50 / 1.375, is derived from the proof in
 floor_sum's docstring.  One table of r_1, ..., r_CHUNK serves the first
-chunk of every row below RECIP_X, and each later chunk of r_k is built
-once and serves every such row that reaches it.  The other rows, at most
-16 of the floor(N / d^2) for any N <= MAX_X, floor-divide their first
-chunk in int64, where it sums to less than MAX_X * H(CHUNK) < 2^62, and
-take their later chunks by their own route.
+chunk of every row below RECIP_X, and a later chunk of r_k is built at
+most once and serves every such row that reaches it.  The other rows, at
+most 16 of the floor(N / d^2) for any N <= MAX_X, floor-divide their
+first chunk in int64, where it sums to less than MAX_X * H(CHUNK) < 2^62,
+and take their later chunks by their own route.
 
 Two kernels run these routes in the same loop order.  The compiled one,
 floor_sum.c, is built with the system C compiler on the first floor_sum
 call in a process, cached per user and loaded with ctypes; it takes each
 row's first chunk whole and adds the rows as Python ints.  Where it
 cannot be built or loaded, floor_sum runs the NumPy kernel,
-_floor_sum_numpy, which the tests also use as the reference.  The NumPy
-kernel runs floor_sum.c's loops one row at a time, so the two can be
-checked against each other line by line.
+_floor_sum_numpy, which the tests also use as the reference.
 
 lattice_count evaluates the unfolded floor sum sum_{r<=M} floor(M/r)
 instead, batching the O(sqrt M) maximal ranges of r over which the
@@ -54,10 +52,8 @@ evaluators: they check N once, and every floor(N / d^2) they pass on is
 then in the domain.
 """
 
-import bisect
 import ctypes
 import functools
-import operator
 import os
 import platform
 import shutil
@@ -179,10 +175,14 @@ def _load_kernel():
         lib = _cache_dir() / f"floor_sum-{zlib.crc32(_SOURCE.read_bytes() + tag):08x}.so"
         if not lib.exists():
             _build(compiler, lib)
-        dll = ctypes.CDLL(str(lib))
+        return _open_kernel(lib)
     except (OSError, RuntimeError):
         return None
-    kernel = dll.gcdsum_floor_sum
+
+
+def _open_kernel(lib: Path):
+    """gcdsum_floor_sum of the library at lib, loaded with its C signature."""
+    kernel = ctypes.CDLL(str(lib)).gcdsum_floor_sum
     kernel.argtypes = (ctypes.c_int64, ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p,
                        ctypes.c_int64, ctypes.c_int64, ctypes.c_void_p)
     kernel.restype = ctypes.c_int
@@ -219,11 +219,12 @@ def floor_sum(x: np.ndarray, r: np.ndarray) -> int:
 
     Later chunks: the loop runs over the chunks on the outside and over the
     rows that reach each chunk on the inside; those rows, the ones with
-    r_i >= lo, are a prefix of the batch.  A chunk reached by two or more
-    rows below RECIP_X builds its reciprocals once and multiplies them into
-    each of those rows; one reached by only one such row divides, since
-    building its reciprocals would cost more than it saves.  Each row takes
-    one of three routes:
+    r_i >= lo, are a prefix of the batch.  In the compiled kernel, a chunk
+    reached by two or more rows below RECIP_X builds its reciprocals once
+    and multiplies them into each of those rows; one reached by only one
+    such row divides, since building its reciprocals would cost more than
+    it saves.  The NumPy kernel builds the reciprocals of every later chunk
+    that a row below RECIP_X reaches.  Each row takes one of three routes:
 
     Reciprocal products, x_i < RECIP_X: floor(fl(x_i * r_k)).  With
     u = 2^-53, fl(1/k) >= (1/k)(1 - u), so
@@ -275,48 +276,40 @@ def floor_sum(x: np.ndarray, r: np.ndarray) -> int:
 def _floor_sum_numpy(x: np.ndarray, r: np.ndarray) -> int:
     """floor_sum in NumPy: the fallback where no compiled kernel loads.
 
-    It runs floor_sum.c's loops one row at a time, each over at most CHUNK
-    values of k in one buffer that this call allocates, so concurrent calls
-    share nothing.  The first chunk of a row at or above RECIP_X is
-    x_i // k in int64, and that of a row below it one multiply, floor and
-    sum against _RECIP; later chunks run as floor_sum describes.
+    One loop over the chunks of k, and inside it one over the rows that
+    reach the chunk, each of which picks its route as floor_sum describes.
+    The reciprocal products read _RECIP in the first chunk.  A later chunk
+    turns its k into reciprocals when its first row below RECIP_X comes,
+    the widest such row, and that row and the rest share them.  The
+    quotients go through one buffer of at most CHUNK doubles that this call
+    allocates, so concurrent calls share nothing.
     """
     xs, rs = x.tolist(), r.tolist()
     if not rs or not rs[0]:
         return 0
-    # rows [0, ints) take the int64 route, rows [ints, divs) the float divide
-    # and rows [divs, len(x)) the reciprocal products
-    ints = bisect.bisect_right(xs, -(2**53), key=operator.neg)
-    divs = bisect.bisect_right(xs, -RECIP_X, key=operator.neg)
-    total = sum(int((v // np.arange(1, min(w, CHUNK) + 1, dtype=np.int64)).sum())
-                for v, w in zip(xs[:divs], rs))
     buf = np.empty(min(CHUNK, rs[0]))
-    for v, w in zip(xs[divs:], rs[divs:]):
-        q = buf[: min(w, CHUNK)]
-        np.multiply(_RECIP[: len(q)], float(v), out=q)
-        np.floor(q, out=q)
-        total += int(q.sum())
-    k = np.arange(CHUNK + 1, min(2 * CHUNK, rs[0]) + 1, dtype=np.float64)
-    recip = None
-    for lo in range(CHUNK + 1, rs[0] + 1, CHUNK):
-        live = bisect.bisect_right(rs, -lo, key=operator.neg)
-        # rows [muls, live) multiply by one shared chunk of reciprocals
-        muls = divs if live - divs > 1 else live
-        if muls < live:
-            recip = _reciprocals(k, out=recip)
-        for i in range(live):
-            v, n = xs[i], min(CHUNK, rs[i] + 1 - lo)
-            if i < ints:
+    total = 0
+    for lo in range(1, rs[0] + 1, CHUNK):
+        # the first chunk reads _RECIP and divides nothing in float64
+        k = None if lo == 1 else np.arange(lo, lo + CHUNK, dtype=np.float64)
+        recip = _RECIP if lo == 1 else None
+        for v, w in zip(xs, rs):
+            if w < lo:
+                break
+            n = min(CHUNK, w + 1 - lo)
+            if v >= 2**53 or lo == 1 and v >= RECIP_X:
                 total += int((v // np.arange(lo, lo + n, dtype=np.int64)).sum())
+                continue
+            q = buf[:n]
+            if v >= RECIP_X:
+                np.divide(float(v), k[:n], out=q)
             else:
-                q = buf[:n]
-                if i < muls:
-                    np.divide(float(v), k[:n], out=q)
-                else:
-                    np.multiply(recip[:n], float(v), out=q)
-                np.floor(q, out=q)
-                total += int(q.sum())
-        k += CHUNK
+                if recip is None:
+                    # x is non-increasing, so no later row of this chunk divides by k
+                    recip = _reciprocals(k[:n], out=k[:n])
+                np.multiply(recip[:n], float(v), out=q)
+            np.floor(q, out=q)
+            total += int(q.sum())
     return total
 
 

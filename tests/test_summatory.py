@@ -1,4 +1,3 @@
-import ctypes
 import functools
 import itertools
 import math
@@ -321,8 +320,14 @@ ROWS_1E12_LATE = [10**12 // (d * d) for d in range(500, 2763)]
     _square_rows([CHUNK + 5, CHUNK // 2 + 1, CHUNK // 2, CHUNK // 2 - 1,
                   8000, 6000, 5000, 4990, 4950]),
     (ROWS_1E12_LATE, [math.isqrt(v) for v in ROWS_1E12_LATE]),
+    # every route in the chunks from 2 CHUNK + 1 to 4 CHUNK + 1, past the r
+    # that the hypothesis test draws: the chunk from 2 CHUNK + 1 has one row
+    # below RECIP_X, 7 entries wide, and in the chunk from 3 CHUNK + 1 only
+    # rows at or above RECIP_X are live
+    ([MAX_X, 2**53 - 1, RECIP_X, RECIP_X - 1, 10**12],
+     [4 * CHUNK + 3, 4 * CHUNK, 3 * CHUNK + 5, 2 * CHUNK + 7, CHUNK + 1]),
 ], ids=["one_width", "one_entry", "half_width", "r0_at_the_end",
-        "around_half_chunk", "rows_of_1e12_late"])
+        "around_half_chunk", "rows_of_1e12_late", "past_the_drawn_r"])
 def test_ragged_remainders_match_python_floor_sums(x, r):
     assert _floor_sum(x, r) == _python_floor_sum(x, r)
 
@@ -492,11 +497,7 @@ def one_clone(request, tmp_path_factory):
     subprocess.run([compiler, *summatory._CFLAGS, f"-march={request.param}",
                     f"-I{summatory._SOURCE.parent}", "-o", str(lib), str(source)],
                    capture_output=True, timeout=300, check=True)
-    kernel = ctypes.CDLL(str(lib)).gcdsum_floor_sum
-    kernel.argtypes = (ctypes.c_int64, ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p,
-                       ctypes.c_int64, ctypes.c_int64, ctypes.c_void_p)
-    kernel.restype = ctypes.c_int
-    return kernel
+    return summatory._open_kernel(lib)
 
 
 def _first_block(n):

@@ -22,8 +22,16 @@
    docstring's bounds, so every order gives the same exact sum.  A row's
    sum is at most D(x_i) < 2^63 for x_i <= MAX_X, so out[i] cannot wrap.
 
-   On x86-64 the loops are cloned for x86-64-v3 (AVX2), x86-64-v2 and the
-   baseline, and the resolver picks one when the library loads.
+   mul_rows multiplies the rows of a chunk that share its reciprocals in
+   groups of four, loading each reciprocal once into four sums, one per
+   row, over the span of the group's fourth and shortest row, so that four
+   chains of adds run side by side.  Each row's block sum and the sum of
+   its tail past that span are partial sums of the row's chunk terms, so
+   each is below 2^53 and exact, and they are added in int64.
+
+   On x86-64 the loops are cloned for x86-64-v4 (AVX-512), x86-64-v3
+   (AVX2), x86-64-v2 and the baseline, and the resolver picks one when the
+   library loads.
    gcdsum_floor_sum returns 0, or -1 when the buffer of a later chunk's
    reciprocals cannot be allocated. */
 
@@ -32,7 +40,8 @@
 #include <stdlib.h>
 
 #if defined(__x86_64__)
-#define CLONES __attribute__((target_clones("arch=x86-64-v3", "arch=x86-64-v2", "default")))
+#define CLONES __attribute__((target_clones("arch=x86-64-v4", "arch=x86-64-v3", "arch=x86-64-v2", \
+                                             "default")))
 #else
 #define CLONES
 #endif
@@ -71,6 +80,38 @@ static inline int span(int64_t n, int64_t chunk)
     return (int)(n < chunk ? n : chunk);
 }
 
+/* out[i] += sum_{j<n_i} floor(x_i * recip[j]) for the rows [a, b) of the
+   chunk from lo, n_i = span(r_i + 1 - lo, chunk).  Four rows at a time load
+   each recip[j] once over the span of the fourth, the shortest, into four
+   sums; each row's tail past that span (none for the fourth), and the last
+   0-3 rows, go through mul_sum.  Always inlined: an out-of-line copy would
+   be built for the baseline target alone and serve every clone. */
+__attribute__((always_inline))
+static inline void mul_rows(const int64_t *x, const int64_t *r, const double *recip, int64_t lo,
+                            int64_t chunk, int64_t a, int64_t b, int64_t *out)
+{
+    int64_t i = a;
+    for (; i + 4 <= b; i += 4) {
+        double v0 = (double)x[i], v1 = (double)x[i + 1], v2 = (double)x[i + 2],
+               v3 = (double)x[i + 3], s0 = 0, s1 = 0, s2 = 0, s3 = 0;
+        int n = span(r[i + 3] + 1 - lo, chunk);
+#pragma omp simd reduction(+:s0,s1,s2,s3)
+        for (int j = 0; j < n; j++) {
+            double q = recip[j];
+            s0 += floor(v0 * q);
+            s1 += floor(v1 * q);
+            s2 += floor(v2 * q);
+            s3 += floor(v3 * q);
+        }
+        double s[4] = {s0, s1, s2, s3};
+        for (int l = 0; l < 4; l++)
+            out[i + l] += (int64_t)s[l] + (int64_t)mul_sum((double)x[i + l], recip + n,
+                                                           span(r[i + l] + 1 - lo, chunk) - n);
+    }
+    for (; i < b; i++)
+        out[i] += (int64_t)mul_sum((double)x[i], recip, span(r[i] + 1 - lo, chunk));
+}
+
 CLONES
 int gcdsum_floor_sum(int64_t rows, const int64_t *x, const int64_t *r, const double *table,
                      int64_t chunk, int64_t recip_x, int64_t *out)
@@ -84,10 +125,9 @@ int gcdsum_floor_sum(int64_t rows, const int64_t *x, const int64_t *r, const dou
         ints++;
     for (divs = ints; divs < rows && x[divs] >= recip_x; divs++)
         ;
-    for (i = 0; i < divs; i++)
-        out[i] = int_sum(x[i], 1, span(r[i], chunk));
-    for (i = divs; i < rows; i++)
-        out[i] = (int64_t)mul_sum((double)x[i], table, span(r[i], chunk));
+    for (i = 0; i < rows; i++)
+        out[i] = i < divs ? int_sum(x[i], 1, span(r[i], chunk)) : 0;
+    mul_rows(x, r, table, 1, chunk, divs, rows, out);
     for (int64_t lo = chunk + 1; rows && lo <= r[0]; lo += chunk) {
         /* the rows with r_i >= lo, a prefix; rows [muls, live) share one
            chunk of reciprocals when there are two or more of them */
@@ -107,8 +147,7 @@ int gcdsum_floor_sum(int64_t rows, const int64_t *x, const int64_t *r, const dou
             out[i] += int_sum(x[i], lo, span(r[i] + 1 - lo, chunk));
         for (i = ints; i < muls; i++)
             out[i] += (int64_t)div_sum((double)x[i], klo, span(r[i] + 1 - lo, chunk));
-        for (i = muls; i < live; i++)
-            out[i] += (int64_t)mul_sum((double)x[i], recip, span(r[i] + 1 - lo, chunk));
+        mul_rows(x, r, recip, lo, chunk, muls, live, out);
     }
     free(recip);
     return 0;

@@ -29,9 +29,10 @@ and take their later chunks by their own route.
 Two kernels run these routes in the same loop order.  The compiled one,
 floor_sum.c, is built with the system C compiler on the first floor_sum
 call in a process, cached per user and loaded with ctypes; it takes each
-row's first chunk whole and adds the rows as Python ints.  Where it
-cannot be built or loaded, floor_sum runs the NumPy kernel,
-_floor_sum_numpy, which the tests also use as the reference.
+row's first chunk whole, multiplies each reciprocal into four rows at
+once, and adds the rows as Python ints.  Where it cannot be built or
+loaded, floor_sum runs the NumPy kernel, _floor_sum_numpy, which the tests
+also use as the reference.
 
 lattice_count evaluates the unfolded floor sum sum_{r<=M} floor(M/r)
 instead, batching the O(sqrt M) maximal ranges of r over which the
@@ -223,8 +224,12 @@ def floor_sum(x: np.ndarray, r: np.ndarray) -> int:
     reached by two or more rows below RECIP_X builds its reciprocals once
     and multiplies them into each of those rows; one reached by only one
     such row divides, since building its reciprocals would cost more than
-    it saves.  The NumPy kernel builds the reciprocals of every later chunk
-    that a row below RECIP_X reaches.  Each row takes one of three routes:
+    it saves.  In the first chunk and in later ones, the compiled kernel
+    multiplies each reciprocal into a group of four rows at once, over the
+    span of the group's shortest row, and sums the rest of each row and the
+    last 0-3 rows one row at a time.  The NumPy kernel builds the
+    reciprocals of every later chunk that a row below RECIP_X reaches.
+    Each row takes one of three routes:
 
     Reciprocal products, x_i < RECIP_X: floor(fl(x_i * r_k)).  With
     u = 2^-53, fl(1/k) >= (1/k)(1 - u), so
@@ -254,18 +259,20 @@ def floor_sum(x: np.ndarray, r: np.ndarray) -> int:
     [lo, lo + CHUNK) has at most CHUNK terms, each at most x_i / lo with
     lo > CHUNK, so it sums to less than x_i: below 2^53 on the float routes
     and below 2^63 on the int64 one.  So every float64 sum is exact and no
-    int64 chunk sum can wrap.  The compiled kernel adds a row's chunk sums
-    in int64, where the row's sum is at most D(x_i) < 2^63 for x_i <= MAX_X,
-    and the rows as Python ints; the NumPy kernel adds its chunk sums as
-    Python ints.
+    int64 chunk sum can wrap.  A row's sum over a four-row group's span,
+    and its sum past that span, are partial sums of its chunk's terms, so
+    they are exact too.  The compiled kernel adds a row's sums in int64,
+    where the row's sum is at most D(x_i) < 2^63 for x_i <= MAX_X, and the
+    rows as Python ints; the NumPy kernel adds its chunk sums as Python
+    ints.
     """
-    kernel = _compiled_kernel()
-    if kernel is None:
-        return _floor_sum_numpy(x, r)
     x = np.ascontiguousarray(x, dtype=np.int64)
     r = np.ascontiguousarray(r, dtype=np.int64)
     if x.ndim != 1 or x.shape != r.shape:
         raise ValueError(f"x and r must be 1-D of one length, not {x.shape} and {r.shape}")
+    kernel = _compiled_kernel()
+    if kernel is None:
+        return _floor_sum_numpy(x, r)
     out = np.empty(len(r), dtype=np.int64)
     if kernel(len(r), x.ctypes.data, r.ctypes.data, _RECIP_ADDRESS, CHUNK, RECIP_X,
               out.ctypes.data):

@@ -32,6 +32,7 @@ from test_summatory import (
     test_floor_sum_batch_matches_each_row,
     test_floor_sum_chunks_cannot_wrap,
     test_floor_sum_on_both_sides_of_float_x,
+    test_floor_sum_refuses_rows_of_unequal_length,
     test_folded_and_blocked_routes_agree_random_large,
     test_ragged_remainders_match_python_floor_sums,
     test_short_row_batches_match_per_call_divisor_summatory,

@@ -7,6 +7,7 @@ import shutil
 import subprocess
 import threading
 from fractions import Fraction
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -332,6 +333,39 @@ def test_ragged_remainders_match_python_floor_sums(x, r):
     assert _floor_sum(x, r) == _python_floor_sum(x, r)
 
 
+# rows below RECIP_X: the compiled kernel multiplies them in groups of four
+# over the span of each group's fourth row and sums the rest of each row
+# alone, as it does the last 0-3 rows of a chunk
+GROUPED_X = [RECIP_X - 1, RECIP_X - 2, 10**15 // 4, 10**14 + 39, 10**12 + 39, 10**12,
+             10**9 + 7, 2 * CHUNK * CHUNK, 12345]
+GROUPED_R = [
+    # the first group straddles CHUNK and 2 CHUNK, with tails in the first
+    # chunk; the second lies in the first chunk
+    [2 * CHUNK + 2, 2 * CHUNK - 1, CHUNK + 3, CHUNK - 2, CHUNK - 2, CHUNK - 5, 700, 3, 2],
+    # seven rows reach the chunk from CHUNK + 1: one group there, whose fourth
+    # row has one entry in it, and three rows alone; the fourth row of the
+    # second group ends at CHUNK, and the last row has r = 0
+    [2 * CHUNK + 2, 2 * CHUNK + 1, 2 * CHUNK, CHUNK + 1, CHUNK + 1, CHUNK + 1, CHUNK + 1, CHUNK,
+     0],
+]
+
+
+@functools.cache
+def _four_row_batches():
+    """(x, r, Python floor sum) for the first 1 to 9 rows of each GROUPED_R,
+    every remainder of the row count mod 4."""
+    batches = []
+    for r in GROUPED_R:
+        sums = [_python_floor_sum([v], [w]) for v, w in zip(GROUPED_X, r)]
+        batches += [(GROUPED_X[:m], r[:m], sum(sums[:m])) for m in range(1, len(r) + 1)]
+    return batches
+
+
+def test_four_row_groups_match_python_floor_sums():
+    for x, r, expected in _four_row_batches():
+        assert _floor_sum(x, r) == expected, (x, r)
+
+
 def test_kernel_isqrt_is_exact_at_every_square_edge():
     # the kernel takes r = isqrt(x) from _isqrt; check it at every square edge
     # up to (2 CHUNK + 1)^2, past the first chunk edge of k
@@ -443,9 +477,7 @@ def test_threads_on_a_cold_kernel_cache_build_once(monkeypatch, cold_kernel):
     assert cold_kernel.stat().st_mode & 0o777 == 0o700
 
 
-def test_compiled_kernel_refuses_rows_of_unequal_length():
-    if summatory._compiled_kernel() is None:
-        pytest.skip("no compiled kernel on this host")
+def test_floor_sum_refuses_rows_of_unequal_length():
     with pytest.raises(ValueError, match="one length"):
         floor_sum(np.array([9, 4], dtype=np.int64), np.array([3], dtype=np.int64))
 
@@ -481,16 +513,38 @@ def test_kernels_agree_with_python_floor_sums(rows, short_rows):
     assert floor_sum(xa, ra) == summatory._floor_sum_numpy(xa, ra) == _python_floor_sum(x, r)
 
 
-@pytest.fixture(scope="module", params=["x86-64", "x86-64-v2"])
+# the /proc/cpuinfo flags of a CPU that runs code built for each x86-64 level
+LEVEL_FLAGS = {
+    "x86-64": set(),
+    "x86-64-v2": {"cx16", "popcnt", "sse4_1", "sse4_2", "ssse3"},
+    "x86-64-v3": {"avx", "avx2", "bmi1", "bmi2", "f16c", "fma", "movbe"},
+    "x86-64-v4": {"avx512f", "avx512bw", "avx512cd", "avx512dq", "avx512vl"},
+}
+
+
+def _cpu_flags():
+    try:
+        lines = Path("/proc/cpuinfo").read_text().splitlines()
+    except OSError:
+        return set()
+    return {f for line in lines if line.startswith("flags") for f in line.split(":", 1)[1].split()}
+
+
+@pytest.fixture(scope="module", params=list(LEVEL_FLAGS))
 def one_clone(request, tmp_path_factory):
     """floor_sum.c built for one x86-64 target alone and loaded with ctypes.
 
-    The resolver of the shipped library picks x86-64-v3 on any CPU with
-    AVX2, so only these builds run the clones that other CPUs get.
+    The resolver of the shipped library picks one clone for the CPU it runs
+    on: x86-64-v4 where there is AVX-512, so x86-64-v3, x86-64-v2 and the
+    baseline run only on other CPUs.  These builds run each clone here.  A
+    target is skipped only where /proc/cpuinfo does not list the flags its
+    code needs; a build that fails is an error.
     """
     compiler = next(filter(None, map(shutil.which, summatory._COMPILERS)), None)
     if compiler is None or platform.machine() != "x86_64":
         pytest.skip("needs a C compiler on x86-64")
+    if not LEVEL_FLAGS[request.param] <= _cpu_flags():
+        pytest.skip(f"this CPU does not run {request.param} code")
     tmp = tmp_path_factory.mktemp(request.param)
     source, lib = tmp / "one_clone.c", tmp / "one_clone.so"
     source.write_text('#define target_clones(...)\n#include "floor_sum.c"\n')
@@ -531,4 +585,6 @@ def test_every_clone_target_matches_python_floor_sums(monkeypatch, one_clone):
     for _ in range(100):
         x, r = _edge_batch(rng)
         assert _floor_sum(x, r) == _python_floor_sum(x, r), (x, r)
+    for x, r, expected in _four_row_batches():
+        assert _floor_sum(x, r) == expected, (x, r)
     assert {n: floor_sum(*block) for n, block in blocks.items()} == shipped

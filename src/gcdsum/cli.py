@@ -133,7 +133,7 @@ def run(argv=None) -> int:
         return int(exc.code) if exc.code else 0
     try:
         return args.func(args)
-    except (ValueError, OverflowError, TypeError, OSError) as exc:
+    except (ValueError, OverflowError, TypeError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -2,25 +2,43 @@
 
    gcdsum_floor_sum writes out[i] = sum_{k=1..r_i} x_i // k for every row
    of a non-increasing batch with 0 <= x_i <= MAX_X; the Python caller adds
-   the rows as Python ints.  It keeps the NumPy kernel's loop order, chunks
-   of `chunk` values of k outside and the rows that reach a chunk inside,
-   and its three routes, whose exactness proofs are in floor_sum's
-   docstring:
+   the rows as Python ints.  CHUNK and RECIP_X come from summatory._CFLAGS
+   as -D constants.  The loop runs over chunks of CHUNK values of k outside
+   and over the rows that reach a chunk, a prefix of the batch, inside.
+   Each quotient takes one of three routes:
 
-       x_i < recip_x          floor(x_i * r_k), r_k = fl(fl(1/k) (1 + 2^-50)),
-                              read from `table` for k <= chunk
-       recip_x <= x_i < 2^53  floor(x_i / k) in double
+       x_i < RECIP_X          floor(x_i * r_k), r_k = fl(fl(1/k) (1 + 2^-50))
+       RECIP_X <= x_i < 2^53  floor(x_i / k) in double
        2^53 <= x_i            x_i / k in int64, as is the first chunk of
-                              every row at or above recip_x
+                              every row at or above RECIP_X
+
+   The reciprocals r_1..r_CHUNK are built once, when the library loads, and
+   serve the first chunk.  A later chunk builds its own when two or more
+   rows below RECIP_X reach it; one such row divides, since building them
+   would cost more than it saves.
+
+   Reciprocal products: with u = 2^-53, fl(1/k) >= (1/k)(1 - u), so
+   r_k >= (1/k)(1 - u)^2 (1 + 2^-50) >= (1/k)(1 + 2^-51) > 1/k.  Hence
+   x_i * r_k >= x_i / k >= m = floor(x_i / k), and since m is a double and
+   rounding is monotone, the product never rounds below m.  Above, the
+   three roundings (of 1/k, of the bump and of the product) give
+   fl(x_i * r_k) <= (x_i / k)(1 + e) with e = (1 + u)^3 (1 + 2^-50) - 1,
+   about 1.375 * 2^-50.  A non-integer x_i / k lies at least 1/k below
+   m + 1, and (x_i / k) e < 1/k because x_i e < 1 for x_i < RECIP_X, so the
+   product stays below m + 1, and for an integer x_i / k = m below m + 1
+   too.  The float quotients are exact by floor_sum's docstring.
 
    The proofs assume that every product, quotient and floor is one
    correctly rounded IEEE operation, so this file is built with
    -ffp-contract=off and without -ffast-math or any of its parts.  The only
    reordering is the vectorized sum that `#pragma omp simd reduction` allows
    under -fopenmp-simd.  It adds integer-valued doubles, and every partial
-   sum of a chunk's terms is at most the chunk's sum, below 2^53 by the
-   docstring's bounds, so every order gives the same exact sum.  A row's
-   sum is at most D(x_i) < 2^63 for x_i <= MAX_X, so out[i] cannot wrap.
+   sum of a chunk's terms is at most the chunk's sum.  A first chunk sums
+   to at most x_i * H(CHUNK) < RECIP_X * 10.3 < 2^53 on the reciprocal
+   route and MAX_X * 10.3 < 2^62 in int64; a later chunk from lo > CHUNK
+   sums to less than x_i, below 2^53 on the float routes and below MAX_X
+   in int64.  So every order gives the same exact sum.  A row's sum is at most D(x_i) < 2^63 for
+   x_i <= MAX_X, so out[i] cannot wrap.
 
    mul_rows multiplies the rows of a chunk that share its reciprocals in
    groups of four, loading each reciprocal once into four sums, one per
@@ -45,6 +63,24 @@
 #else
 #define CLONES
 #endif
+
+/* recip[j] = r_k for k = lo + j, j < n.  Always inlined, as mul_rows is. */
+__attribute__((always_inline))
+static inline void reciprocals(double *recip, double lo, int n)
+{
+#pragma omp simd
+    for (int j = 0; j < n; j++)
+        recip[j] = 1.0 / (lo + j) * (1 + 0x1p-50);
+}
+
+/* r_1, ..., r_CHUNK */
+static double table[CHUNK];
+
+__attribute__((constructor))
+static void build_table(void)
+{
+    reciprocals(table, 1, CHUNK);
+}
 
 /* sum_{j<n} floor(v * recip[j]) and sum_{j<n} floor(v / (klo + j)) */
 static inline double mul_sum(double v, const double *recip, int n)
@@ -75,26 +111,26 @@ static inline int64_t int_sum(int64_t x, int64_t lo, int n)
 }
 
 /* the terms a row with r_i = lo - 1 + n has in the chunk from lo */
-static inline int span(int64_t n, int64_t chunk)
+static inline int span(int64_t n)
 {
-    return (int)(n < chunk ? n : chunk);
+    return (int)(n < CHUNK ? n : CHUNK);
 }
 
 /* out[i] += sum_{j<n_i} floor(x_i * recip[j]) for the rows [a, b) of the
-   chunk from lo, n_i = span(r_i + 1 - lo, chunk).  Four rows at a time load
-   each recip[j] once over the span of the fourth, the shortest, into four
-   sums; each row's tail past that span (none for the fourth), and the last
-   0-3 rows, go through mul_sum.  Always inlined: an out-of-line copy would
-   be built for the baseline target alone and serve every clone. */
+   chunk from lo, n_i = span(r_i + 1 - lo).  Four rows at a time load each
+   recip[j] once over the span of the fourth, the shortest, into four sums;
+   each row's tail past that span (none for the fourth), and the last 0-3
+   rows, go through mul_sum.  Always inlined: an out-of-line copy would be
+   built for the baseline target alone and serve every clone. */
 __attribute__((always_inline))
 static inline void mul_rows(const int64_t *x, const int64_t *r, const double *recip, int64_t lo,
-                            int64_t chunk, int64_t a, int64_t b, int64_t *out)
+                            int64_t a, int64_t b, int64_t *out)
 {
     int64_t i = a;
     for (; i + 4 <= b; i += 4) {
         double v0 = (double)x[i], v1 = (double)x[i + 1], v2 = (double)x[i + 2],
                v3 = (double)x[i + 3], s0 = 0, s1 = 0, s2 = 0, s3 = 0;
-        int n = span(r[i + 3] + 1 - lo, chunk);
+        int n = span(r[i + 3] + 1 - lo);
 #pragma omp simd reduction(+:s0,s1,s2,s3)
         for (int j = 0; j < n; j++) {
             double q = recip[j];
@@ -106,48 +142,44 @@ static inline void mul_rows(const int64_t *x, const int64_t *r, const double *re
         double s[4] = {s0, s1, s2, s3};
         for (int l = 0; l < 4; l++)
             out[i + l] += (int64_t)s[l] + (int64_t)mul_sum((double)x[i + l], recip + n,
-                                                           span(r[i + l] + 1 - lo, chunk) - n);
+                                                           span(r[i + l] + 1 - lo) - n);
     }
     for (; i < b; i++)
-        out[i] += (int64_t)mul_sum((double)x[i], recip, span(r[i] + 1 - lo, chunk));
+        out[i] += (int64_t)mul_sum((double)x[i], recip, span(r[i] + 1 - lo));
 }
 
 CLONES
-int gcdsum_floor_sum(int64_t rows, const int64_t *x, const int64_t *r, const double *table,
-                     int64_t chunk, int64_t recip_x, int64_t *out)
+int gcdsum_floor_sum(int64_t rows, const int64_t *x, const int64_t *r, int64_t *out)
 {
-    /* rows [0, ints) take the int64 route, rows [ints, divs) the float
-       divide and rows [divs, rows) the reciprocal products; each route runs
-       in a loop of its own, which lets GCC vectorize the reductions */
+    /* rows [0, ints) are at or above 2^53 and rows [ints, divs) at or
+       above RECIP_X; each route runs in a loop of its own, which lets GCC
+       vectorize the reductions */
     int64_t ints = 0, divs, live = rows, i;
     double *recip = NULL;
     while (ints < rows && x[ints] >= (INT64_C(1) << 53))
         ints++;
-    for (divs = ints; divs < rows && x[divs] >= recip_x; divs++)
+    for (divs = ints; divs < rows && x[divs] >= RECIP_X; divs++)
         ;
     for (i = 0; i < rows; i++)
-        out[i] = i < divs ? int_sum(x[i], 1, span(r[i], chunk)) : 0;
-    mul_rows(x, r, table, 1, chunk, divs, rows, out);
-    for (int64_t lo = chunk + 1; rows && lo <= r[0]; lo += chunk) {
-        /* the rows with r_i >= lo, a prefix; rows [muls, live) share one
-           chunk of reciprocals when there are two or more of them */
+        out[i] = 0;
+    for (int64_t lo = 1; rows && lo <= r[0]; lo += CHUNK) {
+        /* the rows with r_i >= lo, a prefix: [0, idiv) take int64,
+           [idiv, muls) divide and [muls, live) multiply, by the table in
+           the first chunk, and later by one chunk of reciprocals when two
+           or more rows share it */
         while (r[live - 1] < lo)
             live--;
-        int64_t muls = live - divs > 1 ? divs : live;
-        double klo = (double)lo;
-        if (muls < live) {
-            int n = span(r[muls] + 1 - lo, chunk);
-            if (!recip && !(recip = malloc((size_t)chunk * sizeof *recip)))
+        int64_t idiv = lo == 1 ? divs : ints, muls = lo == 1 || live - divs > 1 ? divs : live;
+        if (lo > 1 && muls < live) {
+            if (!recip && !(recip = malloc(CHUNK * sizeof *recip)))
                 return -1;
-#pragma omp simd
-            for (int j = 0; j < n; j++)
-                recip[j] = 1.0 / (klo + j) * (1 + 0x1p-50);
+            reciprocals(recip, (double)lo, span(r[muls] + 1 - lo));
         }
-        for (i = 0; i < live && i < ints; i++)
-            out[i] += int_sum(x[i], lo, span(r[i] + 1 - lo, chunk));
-        for (i = ints; i < muls; i++)
-            out[i] += (int64_t)div_sum((double)x[i], klo, span(r[i] + 1 - lo, chunk));
-        mul_rows(x, r, recip, lo, chunk, muls, live, out);
+        for (i = 0; i < live && i < idiv; i++)
+            out[i] += int_sum(x[i], lo, span(r[i] + 1 - lo));
+        for (i = idiv; i < muls; i++)
+            out[i] += (int64_t)div_sum((double)x[i], (double)lo, span(r[i] + 1 - lo));
+        mul_rows(x, r, lo == 1 ? table : recip, lo, muls, live, out);
     }
     free(recip);
     return 0;

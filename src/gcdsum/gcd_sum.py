@@ -42,12 +42,11 @@ identity  folds the same inner count into the divisor summatory function,
           NumPy kernel where that does not load, and runs over
           sqrt(N) / CHUNK later chunks of k.  The compiled kernel builds
           one chunk of reciprocals for each that two of its rows below
-          RECIP_X reach, the NumPy kernel for each that one such row
-          reaches.  At N = 10^12 that is 2762 large terms in one block,
-          8.5 million quotients, 61 later chunks, 30 with reciprocals
-          built (all 61 in NumPy), and 16000 table reads.  Any L >= 1 and
-          any d1 in [d0, sqrt(N) + 1] give the same integer; they only move
-          the cost between the ranges.
+          RECIP_X reach; NumPy builds no reciprocals.  At N = 10^12 that
+          is 2762 large terms in one block, 8.5 million quotients, 61
+          later chunks, 30 with reciprocals built, and 16000 table reads.
+          Any L >= 1 and any d1 in [d0, sqrt(N) + 1] give the same
+          integer; they only move the cost between the ranges.
 
 All three agree exactly wherever they are all defined; the test suite
 leans hard on that three-way agreement.

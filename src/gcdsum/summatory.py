@@ -10,8 +10,12 @@ because every point has min(r, s) <= sqrt(x), and the square block with
 both coordinates <= sqrt(x) is the part counted twice.
 divisor_summatory_batch sums D over a whole non-increasing batch of x at
 once, and divisor_summatory(x) is its one-row case.  Its floor sums run in
-whole chunks of CHUNK values of k, and take each quotient floor(x_i / k)
-by one of three exact routes:
+whole chunks of CHUNK values of k, in one of two kernels.
+
+The compiled kernel, floor_sum.c, is built with the system C compiler on
+the first floor_sum call in a process, cached per user and loaded with
+ctypes.  It takes each quotient floor(x_i / k) by one of three exact
+routes:
 
     x_i < RECIP_X          multiply x_i by a reciprocal r_k that is rounded
                            up a little, and floor, in float64
@@ -19,20 +23,17 @@ by one of three exact routes:
     2^53 <= x_i            floor-divide in int64
 
 RECIP_X = 818836295885544, about 2^50 / 1.375, is derived from the proof in
-floor_sum's docstring.  One table of r_1, ..., r_CHUNK serves the first
-chunk of every row below RECIP_X, and a later chunk of r_k is built at
-most once and serves every such row that reaches it.  The other rows, at
-most 16 of the floor(N / d^2) for any N <= MAX_X, floor-divide their
-first chunk in int64, where it sums to less than MAX_X * H(CHUNK) < 2^62,
-and take their later chunks by their own route.
+floor_sum.c, which owns the reciprocals: it builds r_1, ..., r_CHUNK when
+the library loads, for the first chunk of every row below RECIP_X, and a
+later chunk of r_k at most once, for every such row that reaches it.  The
+other rows, at most 16 of the floor(N / d^2) for any N <= MAX_X,
+floor-divide their first chunk in int64, where it sums to less than
+MAX_X * H(CHUNK) < 2^62, and take their later chunks by their own route.
 
-Two kernels run these routes in the same loop order.  The compiled one,
-floor_sum.c, is built with the system C compiler on the first floor_sum
-call in a process, cached per user and loaded with ctypes; it takes each
-row's first chunk whole, multiplies each reciprocal into four rows at
-once, and adds the rows as Python ints.  Where it cannot be built or
-loaded, floor_sum runs the NumPy kernel, _floor_sum_numpy, which the tests
-also use as the reference.
+Where the compiled kernel cannot be built or loaded, floor_sum runs the
+NumPy kernel, _floor_sum_numpy, which the tests also use as the
+reference.  It builds no reciprocals: it divides in float64 below 2^53
+and in int64 above, and sums each chunk in int64.
 
 lattice_count evaluates the unfolded floor sum sum_{r<=M} floor(M/r)
 instead, batching the O(sqrt M) maximal ranges of r over which the
@@ -71,23 +72,8 @@ from .arith import check_natural
 CHUNK = 2**14
 MAX_X = 225_203_186_528_917_274
 # The largest X with X * e < 1, where e = (1 + 2^-53)^3 (1 + 2^-50) - 1 is the
-# relative excess of a reciprocal product; floor_sum's docstring gives the proof.
+# relative excess of a reciprocal product; floor_sum.c gives the proof.
 RECIP_X = (2**209 - 1) // ((2**53 + 1) ** 3 * (2**50 + 1) - 2**209)
-
-
-def _reciprocals(k: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """r_k = fl(fl(1/k) * (1 + 2^-50)) for a float64 array of k >= 1."""
-    recip = np.divide(1.0, k, out=out)
-    recip *= 1 + 2**-50
-    return recip
-
-
-# r_1, ..., r_CHUNK, built in place: both kernels read it for the first chunk of k
-_RECIP = np.arange(1, CHUNK + 1, dtype=np.float64)
-_reciprocals(_RECIP, out=_RECIP)
-_RECIP.flags.writeable = False
-# its address never changes, so the compiled calls do not look it up each time
-_RECIP_ADDRESS = _RECIP.ctypes.data
 
 
 def _check_domain(x: int, name: str) -> None:
@@ -121,9 +107,10 @@ _SOURCE = Path(__file__).with_name("floor_sum.c")
 # no fused multiply-adds.  -fopenmp-simd enables only the source's `omp simd`
 # reductions, which the proofs allow, and -fno-trapping-math lets floor
 # vectorize; neither changes a value.  No -march=native: the cached library
-# must run on any CPU of its architecture.
+# must run on any CPU of its architecture.  CHUNK and RECIP_X are defined here
+# only, and reach the C source, and the library's hash, as -D constants.
 _CFLAGS = ("-O3", "-shared", "-fPIC", "-ffp-contract=off", "-fno-trapping-math",
-           "-fopenmp-simd")
+           "-fopenmp-simd", f"-DCHUNK={CHUNK}", f"-DRECIP_X={RECIP_X}")
 _COMPILERS = ("cc", "gcc")
 _KERNEL_LOCK = threading.Lock()
 
@@ -184,8 +171,7 @@ def _load_kernel():
 def _open_kernel(lib: Path):
     """gcdsum_floor_sum of the library at lib, loaded with its C signature."""
     kernel = ctypes.CDLL(str(lib)).gcdsum_floor_sum
-    kernel.argtypes = (ctypes.c_int64, ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p,
-                       ctypes.c_int64, ctypes.c_int64, ctypes.c_void_p)
+    kernel.argtypes = (ctypes.c_int64, ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p)
     kernel.restype = ctypes.c_int
     return kernel
 
@@ -213,58 +199,24 @@ def floor_sum(x: np.ndarray, r: np.ndarray) -> int:
     0 <= x_i <= MAX_X and r_i >= 0.  The chunks of k are [lo, lo + CHUNK),
     lo = 1, CHUNK + 1, ..., and every row sums every chunk it reaches whole.
     The compiled kernel runs the call wherever _compiled_kernel loads it,
-    and the NumPy kernel, _floor_sum_numpy, everywhere else; both take the
-    routes below in the same order.  The first chunk of a row at or above
-    RECIP_X is x_i // k in int64, and that of a row below RECIP_X takes the
-    reciprocal products against the table _RECIP of r_1, ..., r_CHUNK.
-
-    Later chunks: the loop runs over the chunks on the outside and over the
-    rows that reach each chunk on the inside; those rows, the ones with
-    r_i >= lo, are a prefix of the batch.  In the compiled kernel, a chunk
-    reached by two or more rows below RECIP_X builds its reciprocals once
-    and multiplies them into each of those rows; one reached by only one
-    such row divides, since building its reciprocals would cost more than
-    it saves.  In the first chunk and in later ones, the compiled kernel
-    multiplies each reciprocal into a group of four rows at once, over the
-    span of the group's shortest row, and sums the rest of each row and the
-    last 0-3 rows one row at a time.  The NumPy kernel builds the
-    reciprocals of every later chunk that a row below RECIP_X reaches.
-    Each row takes one of three routes:
-
-    Reciprocal products, x_i < RECIP_X: floor(fl(x_i * r_k)).  With
-    u = 2^-53, fl(1/k) >= (1/k)(1 - u), so
-    r_k >= (1/k)(1 - u)^2 (1 + 2^-50) >= (1/k)(1 + 2^-51) > 1/k.  Hence
-    x_i * r_k >= x_i / k >= m = floor(x_i / k), and since m is a double
-    and rounding is monotone, the product never rounds below m.  Above, the
-    three roundings (of 1/k, of the bump and of the product) give
-    fl(x_i * r_k) <= (x_i / k)(1 + e) with e = (1 + u)^3 (1 + 2^-50) - 1,
-    about 1.375 * 2^-50.  A non-integer x_i / k lies at least 1/k below
-    m + 1, and (x_i / k) e < 1/k because x_i e < 1 for x_i < RECIP_X, so
-    the product stays below m + 1, and for an integer x_i / k = m below
-    m + 1 too.
+    and the NumPy kernel, _floor_sum_numpy, everywhere else.  The compiled
+    kernel's routes, and the proof of its reciprocal products, are in
+    floor_sum.c.  Both kernels rest on the float and int64 quotients:
 
     Float quotients, x_i < 2^53: floor(fl(x_i / k)).  x_i and k are exact
     doubles, so x_i / k is correctly rounded, with an error of at most
     (x_i / k) * 2^-53 < 1/k.  A non-integer x_i / k lies at least 1/k below
     the next integer, so floor never rounds up, and an integer x_i / k is
-    exact.
+    exact.  Every quotient is at least 0, so truncation to int64 is floor
+    too.
 
-    Int64 quotients, x_i >= 2^53, and the first chunk of every row at or
-    above RECIP_X: x_i // k, exact.
+    Int64 quotients, x_i >= 2^53: x_i // k, exact.
 
-    Sums: every partial sum of a chunk's terms, in any order, is an integer
-    no larger than the chunk's sum.  A first chunk sums to at most
-    x_i * H(CHUNK), H(CHUNK) < 10.3: below RECIP_X * 10.3 < 2^53 on the
-    reciprocal route, and below MAX_X * 10.3 < 2^62 in int64.  A later chunk
-    [lo, lo + CHUNK) has at most CHUNK terms, each at most x_i / lo with
-    lo > CHUNK, so it sums to less than x_i: below 2^53 on the float routes
-    and below 2^63 on the int64 one.  So every float64 sum is exact and no
-    int64 chunk sum can wrap.  A row's sum over a four-row group's span,
-    and its sum past that span, are partial sums of its chunk's terms, so
-    they are exact too.  The compiled kernel adds a row's sums in int64,
-    where the row's sum is at most D(x_i) < 2^63 for x_i <= MAX_X, and the
-    rows as Python ints; the NumPy kernel adds its chunk sums as Python
-    ints.
+    The NumPy kernel sums each chunk of quotients in int64.  A first chunk
+    sums to at most x_i * H(CHUNK) < MAX_X * 10.3 < 2^62, with
+    H(CHUNK) < 10.3, and a later chunk [lo, lo + CHUNK) to less than
+    CHUNK * x_i / lo < x_i, so no chunk sum can wrap; the chunk sums are
+    added as Python ints.
     """
     x = np.ascontiguousarray(x, dtype=np.int64)
     r = np.ascontiguousarray(r, dtype=np.int64)
@@ -274,8 +226,7 @@ def floor_sum(x: np.ndarray, r: np.ndarray) -> int:
     if kernel is None:
         return _floor_sum_numpy(x, r)
     out = np.empty(len(r), dtype=np.int64)
-    if kernel(len(r), x.ctypes.data, r.ctypes.data, _RECIP_ADDRESS, CHUNK, RECIP_X,
-              out.ctypes.data):
+    if kernel(len(r), x.ctypes.data, r.ctypes.data, out.ctypes.data):
         raise MemoryError("no memory for a chunk of reciprocals")
     return sum(out.tolist())
 
@@ -284,38 +235,21 @@ def _floor_sum_numpy(x: np.ndarray, r: np.ndarray) -> int:
     """floor_sum in NumPy: the fallback where no compiled kernel loads.
 
     One loop over the chunks of k, and inside it one over the rows that
-    reach the chunk, each of which picks its route as floor_sum describes.
-    The reciprocal products read _RECIP in the first chunk.  A later chunk
-    turns its k into reciprocals when its first row below RECIP_X comes,
-    the widest such row, and that row and the rest share them.  The
-    quotients go through one buffer of at most CHUNK doubles that this call
-    allocates, so concurrent calls share nothing.
+    reach the chunk: float quotients below 2^53, int64 ones above.  It
+    shares no reciprocals or route split with floor_sum.c, which the tests
+    check against it.
     """
     xs, rs = x.tolist(), r.tolist()
-    if not rs or not rs[0]:
-        return 0
-    buf = np.empty(min(CHUNK, rs[0]))
     total = 0
-    for lo in range(1, rs[0] + 1, CHUNK):
-        # the first chunk reads _RECIP and divides nothing in float64
-        k = None if lo == 1 else np.arange(lo, lo + CHUNK, dtype=np.float64)
-        recip = _RECIP if lo == 1 else None
+    for lo in range(1, rs[0] + 1 if rs else 1, CHUNK):
+        k = np.arange(lo, lo + CHUNK, dtype=np.int64)
+        # dividing by float64 k casts no int64 to float64 in the loop
+        kf = k.astype(np.float64)
         for v, w in zip(xs, rs):
             if w < lo:
                 break
             n = min(CHUNK, w + 1 - lo)
-            if v >= 2**53 or lo == 1 and v >= RECIP_X:
-                total += int((v // np.arange(lo, lo + n, dtype=np.int64)).sum())
-                continue
-            q = buf[:n]
-            if v >= RECIP_X:
-                np.divide(float(v), k[:n], out=q)
-            else:
-                if recip is None:
-                    # x is non-increasing, so no later row of this chunk divides by k
-                    recip = _reciprocals(k[:n], out=k[:n])
-                np.multiply(recip[:n], float(v), out=q)
-            np.floor(q, out=q)
+            q = np.divide(float(v), kf[:n]).astype(np.int64) if v < 2**53 else v // k[:n]
             total += int(q.sum())
     return total
 

@@ -6,6 +6,7 @@ import pytest
 import gcdsum.asymptotics
 import gcdsum.cli
 import gcdsum.gcd_sum
+import gcdsum.summatory
 from gcdsum import error_at, s_identity, write_csv
 from gcdsum.cli import run
 
@@ -160,6 +161,16 @@ def test_exact_refuses_the_largest_natural_at_once(capsys, deadline, alg):
     with deadline(1.0):
         assert run(["exact", str(2**63 - 1), "--alg", alg]) == 1
     assert "MAX_X" in capsys.readouterr().err
+
+
+def test_out_of_memory_is_one_error_line(monkeypatch, capsys):
+    # a compiled kernel that cannot allocate a chunk of reciprocals returns
+    # -1 and floor_sum raises MemoryError, which the CLI reports in one line
+    monkeypatch.setattr(gcdsum.summatory, "_compiled_kernel", lambda: lambda *args: -1)
+    assert run(["exact", str(10**10)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: no memory for a chunk of reciprocals\n"
+    assert captured.out == ""
 
 
 def test_results_past_2_63_stay_exact_ints(monkeypatch, tmp_path, capsys):

@@ -80,7 +80,7 @@ class ErrorRecord:
 
 def main_term(n: int) -> mpf:
     """A(N) = c1*N*log(N) + c0*N at working precision (natural log)."""
-    check_natural(n)
+    check_natural(n, "N")
     if n < 1:
         raise ValueError("main_term requires N >= 1")
     k = default_constants()

@@ -3,19 +3,20 @@
    gcdsum_floor_sum writes out[i] = sum_{k=1..r_i} x_i // k for every row
    of a non-increasing batch with 0 <= x_i <= MAX_X; the Python caller adds
    the rows as Python ints.  CHUNK and RECIP_X come from summatory._CFLAGS
-   as -D constants.  The loop runs over chunks of CHUNK values of k outside
-   and over the rows that reach a chunk, a prefix of the batch, inside.
-   Each quotient takes one of three routes:
+   as -D constants.  Every row sums its chunks of CHUNK values of k by one
+   of two rules:
 
-       x_i < RECIP_X          floor(x_i * r_k), r_k = fl(fl(1/k) (1 + 2^-50))
-       RECIP_X <= x_i < 2^53  floor(x_i / k) in double
-       2^53 <= x_i            x_i / k in int64, as is the first chunk of
-                              every row at or above RECIP_X
-
-   The reciprocals r_1..r_CHUNK are built once, when the library loads, and
-   serve the first chunk.  A later chunk builds its own when two or more
-   rows below RECIP_X reach it; one such row divides, since building them
-   would cost more than it saves.
+   - Each row at or above RECIP_X, a prefix of the batch and at most 16
+     rows of any S(N), is summed alone, chunk by chunk: x_i / k in int64
+     in its first chunk, and in every chunk from 2^53 on; floor(x_i / k) in
+     double in its other chunks.
+   - The rows below RECIP_X then run in one loop over the chunks outside
+     and over the rows that reach a chunk, a prefix of them, inside.  They
+     take floor(x_i * r_k), r_k = fl(fl(1/k) (1 + 2^-50)): in the first
+     chunk against the table of r_1..r_CHUNK, built once when the library
+     loads, and in a later chunk that two or more rows reach against one
+     chunk of r_k built for it.  A lone row divides its later chunk
+     instead, since building the reciprocals would cost more than it saves.
 
    Reciprocal products: with u = 2^-53, fl(1/k) >= (1/k)(1 - u), so
    r_k >= (1/k)(1 - u)^2 (1 + 2^-50) >= (1/k)(1 + 2^-51) > 1/k.  Hence
@@ -37,8 +38,8 @@
    to at most x_i * H(CHUNK) < RECIP_X * 10.3 < 2^53 on the reciprocal
    route and MAX_X * 10.3 < 2^62 in int64; a later chunk from lo > CHUNK
    sums to less than x_i, below 2^53 on the float routes and below MAX_X
-   in int64.  So every order gives the same exact sum.  A row's sum is at most D(x_i) < 2^63 for
-   x_i <= MAX_X, so out[i] cannot wrap.
+   in int64.  So every order gives the same exact sum.  A row's sum is at
+   most D(x_i) < 2^63 for x_i <= MAX_X, so out[i] cannot wrap.
 
    mul_rows multiplies the rows of a chunk that share its reciprocals in
    groups of four, loading each reciprocal once into four sums, one per
@@ -151,35 +152,30 @@ static inline void mul_rows(const int64_t *x, const int64_t *r, const double *re
 CLONES
 int gcdsum_floor_sum(int64_t rows, const int64_t *x, const int64_t *r, int64_t *out)
 {
-    /* rows [0, ints) are at or above 2^53 and rows [ints, divs) at or
-       above RECIP_X; each route runs in a loop of its own, which lets GCC
-       vectorize the reductions */
-    int64_t ints = 0, divs, live = rows, i;
+    int64_t top, live = rows, i;
     double *recip = NULL;
-    while (ints < rows && x[ints] >= (INT64_C(1) << 53))
-        ints++;
-    for (divs = ints; divs < rows && x[divs] >= RECIP_X; divs++)
-        ;
     for (i = 0; i < rows; i++)
         out[i] = 0;
-    for (int64_t lo = 1; rows && lo <= r[0]; lo += CHUNK) {
-        /* the rows with r_i >= lo, a prefix: [0, idiv) take int64,
-           [idiv, muls) divide and [muls, live) multiply, by the table in
-           the first chunk, and later by one chunk of reciprocals when two
-           or more rows share it */
+    /* the rows at or above RECIP_X, each alone */
+    for (top = 0; top < rows && x[top] >= RECIP_X; top++)
+        for (int64_t lo = 1; lo <= r[top]; lo += CHUNK)
+            out[top] += lo == 1 || x[top] >= (INT64_C(1) << 53)
+                            ? int_sum(x[top], lo, span(r[top] + 1 - lo))
+                            : (int64_t)div_sum((double)x[top], (double)lo, span(r[top] + 1 - lo));
+    /* the rows below RECIP_X: [top, live) reach the chunk from lo */
+    for (int64_t lo = 1; top < rows && lo <= r[top]; lo += CHUNK) {
         while (r[live - 1] < lo)
             live--;
-        int64_t idiv = lo == 1 ? divs : ints, muls = lo == 1 || live - divs > 1 ? divs : live;
-        if (lo > 1 && muls < live) {
+        if (lo > 1 && live - top == 1) {
+            out[top] += (int64_t)div_sum((double)x[top], (double)lo, span(r[top] + 1 - lo));
+            continue;
+        }
+        if (lo > 1) {
             if (!recip && !(recip = malloc(CHUNK * sizeof *recip)))
                 return -1;
-            reciprocals(recip, (double)lo, span(r[muls] + 1 - lo));
+            reciprocals(recip, (double)lo, span(r[top] + 1 - lo));
         }
-        for (i = 0; i < live && i < idiv; i++)
-            out[i] += int_sum(x[i], lo, span(r[i] + 1 - lo));
-        for (i = idiv; i < muls; i++)
-            out[i] += (int64_t)div_sum((double)x[i], (double)lo, span(r[i] + 1 - lo));
-        mul_rows(x, r, lo == 1 ? table : recip, lo, muls, live, out);
+        mul_rows(x, r, lo == 1 ? table : recip, lo, top, live, out);
     }
     free(recip);
     return 0;

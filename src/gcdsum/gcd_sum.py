@@ -19,32 +19,29 @@ identity  folds the same inner count into the divisor summatory function,
           the production evaluator.  It splits the d at one table limit
           per process, L = min(TABLE_CAP, sieve cap): with
           d0 = isqrt(N // (L + 1)) + 1, every d >= d0 has
-          floor(N / d^2) <= L.  The d fall into two ranges:
+          floor(N / d^2) <= L, and d1 = (2N)^(1/3), clamped to
+          [d0, sqrt(N) + 1], balances the last two of three ranges:
 
-          d < d0   the large terms, x = floor(N / d^2) > L: exact D(x) from
-                   divisor_summatory_batch, in blocks of CHUNK values of d.
-          d >= d0  the table half, read from one divisor table of L entries.
-                   prefix[N // d^2] is gathered with numpy for d < d1; the
-                   d >= d1 are folded by the hyperbola method on the d-axis
-                   into a sum over m <= N // d1^2 of tau(m) times the number
-                   of d >= d1 with d^2 m <= N.
+          d < d0        the large terms, x = floor(N / d^2) > L: exact D(x)
+                        from divisor_summatory_batch, in blocks of CHUNK
+                        values of d.
+          d0 <= d < d1  one gather of prefix[N // d^2] from the prefix sums
+                        of one divisor table of L entries; at most 38836
+                        terms, at N near 8 * 10^14.
+          d >= d1       folded by the hyperbola method on the d-axis into a
+                        sum over m <= N // d1^2 of tau(m) times the number
+                        of d >= d1 with d^2 m <= N.
 
-          d1 = (2N)^(1/3), clamped to [d0, sqrt(N) + 1], balances the gather
-          and the fold.  While the table half has at most CHUNK terms (at
-          the default cap, N below about 2.7 * 10^8) the fold does not pay,
-          so d1 = sqrt(N) + 1 and the table half is one gather; for N <= L,
+          While the table half has at most CHUNK terms (at the default
+          cap, N below about 2.7 * 10^8) the fold does not pay, so
+          d1 = sqrt(N) + 1 and the table half is one gather; for N <= L,
           d0 = 1 and S(N) is that gather alone.  The table is built on the
           first call for each L and kept for the life of the process, so a
           lowered sieve cap picks its own table; every later call only reads
-          it.  A call costs about sqrt(N) log(d0) exact floor quotients and
-          fewer than 2 N^(1/3) table reads in place of sqrt(N).  The batch
-          takes the quotients in summatory's compiled kernel, or in its
-          NumPy kernel where that does not load, and runs over
-          sqrt(N) / CHUNK later chunks of k.  The compiled kernel builds
-          one chunk of reciprocals for each that two of its rows below
-          RECIP_X reach; NumPy builds no reciprocals.  At N = 10^12 that
-          is 2762 large terms in one block, 8.5 million quotients, 61
-          later chunks, 30 with reciprocals built, and 16000 table reads.
+          it.  A call costs about sqrt(N) log(d0) exact floor quotients,
+          taken by summatory's floor-sum kernels, and fewer than 2 N^(1/3)
+          table reads in place of sqrt(N).  At N = 10^12 that is 2762 large
+          terms in one block, 8.5 million quotients and 16000 table reads.
           Any L >= 1 and any d1 in [d0, sqrt(N) + 1] give the same
           integer; they only move the cost between the ranges.
 
@@ -92,7 +89,7 @@ def check_argument(n: int, algorithm: Algorithm) -> None:
     DEFAULT_BRUTE_CAP; lemma1 and identity take 1 <= N <= MAX_X, so that
     every floor(N / d^2) is in the kernels' domain.
     """
-    check_natural(n)
+    check_natural(n, "N")
     if n == 0:
         raise ValueError("S(N) requires N >= 1")
     if algorithm is not Algorithm.BRUTE:
@@ -170,13 +167,14 @@ def _folded_tail(prefix: np.ndarray, n: int, d1: int) -> int:
 def s_identity(n: int) -> int:
     """S(N) as a sum of divisor summatory values; the production path.
 
-    The d < d1 run in blocks of CHUNK values of d, which bound the arrays
-    that a call holds at once: one batch of all 1.3 million large terms at
-    MAX_X peaked at 114 MB against 39 MB, for no speed gain (BENCH_19.json).
-    In each block the d < d0, whose floor(N / d^2) exceed
-    L = min(TABLE_CAP, sieve cap), go to divisor_summatory_batch, and the
-    rest are gathered from the table's prefix sums.  The d >= d1 are folded.  While the table half has at most
-    CHUNK terms, d1 = sqrt(N) + 1 and nothing is folded.
+    The d < d0, whose floor(N / d^2) exceed L = min(TABLE_CAP, sieve cap),
+    go to divisor_summatory_batch in blocks of CHUNK values of d, which
+    bound the arrays that a call holds at once: one batch of all 1.3
+    million large terms at MAX_X peaked at 114 MB against 39 MB, for no
+    speed gain (BENCH_19.json).  The d in [d0, d1) are one gather from the
+    table's prefix sums, at most 38836 of them, at N near 8 * 10^14.  The
+    d >= d1 are folded.  While the table half has at most CHUNK terms,
+    d1 = sqrt(N) + 1 and nothing is folded.
     """
     check_argument(n, Algorithm.IDENTITY_SUMMATORY)
     limit = min(TABLE_CAP, sieve_cap())
@@ -186,13 +184,10 @@ def s_identity(n: int) -> int:
     # the fold pays only past CHUNK table terms; there d1 ~ (2N)^(1/3) balances
     # gather and fold, and any d1 in [d0, end] gives the same sum
     d1 = end if end - d0 <= CHUNK else min(max(int((2 * n) ** (1 / 3)), d0), end)
-    total = 0
-    for lo in range(1, d1, CHUNK):
-        x = n // np.arange(lo, min(lo + CHUNK, d1), dtype=np.int64) ** 2
-        large = max(d0 - lo, 0)
-        if large:
-            total += divisor_summatory_batch(x[:large])
-        total += int(prefix[x[large:]].sum())
+    total = int(prefix[n // np.arange(d0, d1, dtype=np.int64) ** 2].sum())
+    for lo in range(1, d0, CHUNK):
+        d = np.arange(lo, min(lo + CHUNK, d0), dtype=np.int64)
+        total += divisor_summatory_batch(n // d ** 2)
     if d1 < end:
         total += _folded_tail(prefix, n, d1)
     return total

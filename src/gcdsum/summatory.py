@@ -14,21 +14,11 @@ whole chunks of CHUNK values of k, in one of two kernels.
 
 The compiled kernel, floor_sum.c, is built with the system C compiler on
 the first floor_sum call in a process, cached per user and loaded with
-ctypes.  It takes each quotient floor(x_i / k) by one of three exact
-routes:
-
-    x_i < RECIP_X          multiply x_i by a reciprocal r_k that is rounded
-                           up a little, and floor, in float64
-    RECIP_X <= x_i < 2^53  divide in float64 and floor
-    2^53 <= x_i            floor-divide in int64
-
-RECIP_X = 818836295885544, about 2^50 / 1.375, is derived from the proof in
-floor_sum.c, which owns the reciprocals: it builds r_1, ..., r_CHUNK when
-the library loads, for the first chunk of every row below RECIP_X, and a
-later chunk of r_k at most once, for every such row that reaches it.  The
-other rows, at most 16 of the floor(N / d^2) for any N <= MAX_X,
-floor-divide their first chunk in int64, where it sums to less than
-MAX_X * H(CHUNK) < 2^62, and take their later chunks by their own route.
+ctypes.  Its header gives the route that each row and chunk of k takes:
+int64 quotients, float64 quotients, or float64 products with reciprocals
+r_k that are rounded up a little, and the proof of those products.
+RECIP_X = 818836295885544, about 2^50 / 1.375, the x below which the
+products are exact, is derived from that proof.
 
 Where the compiled kernel cannot be built or loaded, floor_sum runs the
 NumPy kernel, _floor_sum_numpy, which the tests also use as the

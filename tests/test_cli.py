@@ -30,6 +30,15 @@ def test_exact_rejects_zero(capsys):
     assert err.startswith("error:") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("command", ["exact", "predict"])
+@pytest.mark.parametrize(("n", "message"), [("-1", "N must be nonnegative, got -1"),
+                                            (str(2**63), f"N={2**63} exceeds the 2^63 - 1")],
+                         ids=["negative", "past_2_63"])
+def test_refusals_of_n_name_n(capsys, command, n, message):
+    assert run([command, "--", n]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {message}")
+
+
 def test_exact_brute_cap(capsys):
     assert run(["exact", "20000000", "--alg", "brute"]) == 1
     assert "cap" in capsys.readouterr().err

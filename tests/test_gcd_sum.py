@@ -24,6 +24,18 @@ from gcdsum.summatory import CHUNK, MAX_X, RECIP_X
 from oracles import common_divisors, s_by_pair_enumeration
 from oracles import tau_by_trial_division as tau
 
+# S(N) at every N that the CI workflow evaluates (tests/test_workflow.py holds
+# the workflow to this table).  lemma1 confirmed each value up to 10^16 at
+# least once; S(MAX_X) rests on identity alone, in one CI step
+FROZEN_S = {
+    10**6: 21107131,
+    10**12: 43830142939380,
+    10**14: 5140534231877816,
+    10**15: 55192942833495679,
+    10**16: 589805434486172760,
+    MAX_X: 14436324993676221952,
+}
+
 
 def test_examples_brute():
     assert s_brute(1) == 1
@@ -46,15 +58,17 @@ def test_examples_identity():
 
 def test_regression_value_at_1e6():
     # agreed across all three algorithms when first computed
-    assert s_identity(10**6) == 21107131
-    assert s_lemma1(10**6) == 21107131
+    assert s_identity(10**6) == FROZEN_S[10**6]
+    assert s_lemma1(10**6) == FROZEN_S[10**6]
 
 
-@pytest.mark.parametrize(("n", "value"), [(10**14, 5140534231877816),
-                                          (10**15, 55192942833495679)])
+@pytest.mark.parametrize(("n", "value"), [(n, FROZEN_S[n]) for n in (10**14, 10**15, 10**16)])
 def test_identity_at_frozen_values_confirmed_by_lemma1(monkeypatch, n, value):
-    # s_lemma1 gave each value once (52 s and 226 s); 10^14 spans two blocks
-    # of d and 10^15 takes the float divide at d = 1 and the products above
+    # s_lemma1 gave each value once (52 s, 226 s and 772 s).  10^14 spans two
+    # blocks of d.  At 10^15 the row of d = 1 is in [RECIP_X, 2^53): int64 in
+    # its first chunk, float divide in its later ones.  At 10^16 the row of
+    # d = 1 is at or above 2^53, int64 in every chunk, and those of d = 2, 3
+    # take the two routes of 10^15's d = 1.  The rows of larger d multiply
     _set_cap(monkeypatch, None)
     assert s_identity(n) == value
 
@@ -301,7 +315,7 @@ def test_identity_builds_one_table_per_process(table_builds, monkeypatch):
     _set_cap(monkeypatch, None)
     for n in range(1, 3001):
         assert s_identity(n) == s_lemma1(n), n
-    assert s_identity(10**12) == 43830142939380
+    assert s_identity(10**12) == FROZEN_S[10**12]
     assert table_builds == [TABLE_CAP]
     assert len(gcd_sum._table_prefix(TABLE_CAP)) == TABLE_CAP + 1
 
@@ -395,7 +409,7 @@ def test_evaluators_check_n_once_not_every_term(monkeypatch):
 
     monkeypatch.setattr(summatory, "_check_domain", counting)
     assert s_lemma1(10**5) == s_identity(10**5) == s_upto(10**5)[10**5]
-    assert s_identity(10**12) == 43830142939380
+    assert s_identity(10**12) == FROZEN_S[10**12]
     assert checks == []
 
 

@@ -15,6 +15,7 @@ import argparse
 import sys
 import time
 
+from .arith import check_sieve_limit
 from .asymptotics import ScanSpec, Spacing, error_scan, main_term
 from .constants import _CTX, TRUSTED_DIGITS, default_constants
 from .gcd_sum import Algorithm, s_exact, s_upto
@@ -69,8 +70,7 @@ def _cmd_scan(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    if args.max < 1:
-        raise ValueError("--max must be >= 1")
+    check_sieve_limit(args.max, "--max")
     oracle = s_upto(args.max)
     agree = 0
     for n in range(1, args.max + 1):

@@ -29,7 +29,10 @@ lattice_count evaluates the unfolded floor sum sum_{r<=M} floor(M/r)
 instead, batching the O(sqrt M) maximal ranges of r over which the
 quotient floor(M/r) is constant.  The two routines are deliberately
 independent implementations of the same quantity so they can
-cross-validate each other.
+cross-validate each other.  _lattice_count keeps its last 128 counts:
+s_lemma1(N) passes it floor(N / d^2), which repeats over runs of
+consecutive d once d > N^(1/3) and, in a sweep over N, stays the same for
+d^2 consecutive N, while only about 2 N^(1/3) arguments are live at a time.
 
 Boundary convention: points on the hyperbola r*s = x are included,
 points on either axis are not.
@@ -273,6 +276,7 @@ def lattice_count(m: int) -> int:
     return _lattice_count(m)
 
 
+@functools.lru_cache
 def _lattice_count(m: int) -> int:
     total = 0
     r = 1

@@ -154,6 +154,22 @@ def test_verify_refuses_max_past_sieve_cap_before_any_n(monkeypatch, capsys):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize(("cap", "value", "message"),
+                         [("100", "1000", "--max=1000 exceeds the sieve cap of 100 entries"),
+                          (None, str(2**63), f"--max={2**63} exceeds the 2^63 - 1")],
+                         ids=["past_sieve_cap", "past_2_63"])
+def test_verify_refusals_name_max(monkeypatch, capsys, cap, value, message):
+    if cap is None:
+        monkeypatch.delenv("GCDSUM_SIEVE_CAP", raising=False)
+    else:
+        monkeypatch.setenv("GCDSUM_SIEVE_CAP", cap)
+    assert run(["verify", "--max", value]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: {message}")
+    assert captured.err.count("\n") == 1
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize("name", ["s_lemma1", "s_identity"])
 def test_verify_catches_an_evaluator_off_by_one(monkeypatch, capsys, name):
     evaluator = getattr(gcdsum.gcd_sum, name)

@@ -386,6 +386,57 @@ def test_identity_threads_on_a_cold_table(table_builds, monkeypatch):
         sys.setswitchinterval(interval)
 
 
+@pytest.fixture
+def cold_memo():
+    """Empty lemma1's lattice-count memo before and after the test."""
+    summatory._lattice_count.cache_clear()
+    yield
+    summatory._lattice_count.cache_clear()
+
+
+def test_lattice_count_memo_is_bounded(cold_memo):
+    s_lemma1(10**8)
+    info = summatory._lattice_count.cache_info()
+    assert info.maxsize is not None
+    assert info.currsize <= info.maxsize
+
+
+def test_lemma1_matches_the_oracle_on_a_cold_and_a_warm_memo(cold_memo):
+    expected = s_upto(3000).tolist()
+    for memo in ("cold", "warm"):
+        assert [s_lemma1(n) for n in range(1, 3001)] == expected[1:], memo
+
+
+def test_lemma1_threads_on_a_cold_memo(cold_memo):
+    # 4 threads take every 4th N, so each reads and fills the counts the
+    # others' N share, and every result must match the oracle
+    ns = list(range(1, 1001)) + [10**6 + k for k in range(20)]
+    oracle = s_upto(ns[-1])
+    expected = [int(oracle[n]) for n in ns]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for trial in range(10):
+            summatory._lattice_count.cache_clear()
+            results = [None] * len(ns)
+            start = threading.Barrier(4)
+
+            def work(i):
+                start.wait()
+                for j in range(i, len(ns), 4):
+                    results[j] = s_lemma1(ns[j])
+
+            threads = [threading.Thread(target=work, args=(i,)) for i in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+            assert not any(t.is_alive() for t in threads), trial
+            assert results == expected, trial
+    finally:
+        sys.setswitchinterval(interval)
+
+
 @pytest.mark.parametrize("evaluator", [s_lemma1, s_identity])
 def test_evaluators_refuse_past_max_x_up_front(monkeypatch, deadline, evaluator):
     def never(x):

@@ -25,8 +25,8 @@ identity  folds the same inner count into the divisor summatory function,
           d < d0        the large terms, x = floor(N / d^2) > L: exact D(x)
                         from divisor_summatory_batch, in blocks of CHUNK
                         values of d.
-          d0 <= d < d1  one gather of prefix[N // d^2] from the prefix sums
-                        of one divisor table of L entries; at most 38836
+          d0 <= d < d1  one gather of prefix[N // d^2] from one divisor
+                        table, prefix[x] = D(x) for x <= L; at most 38836
                         terms, at N near 8 * 10^14.
           d >= d1       folded by the hyperbola method on the d-axis into a
                         sum over m <= N // d1^2 of tau(m) times the number
@@ -38,10 +38,15 @@ identity  folds the same inner count into the divisor summatory function,
           d0 = 1 and S(N) is that gather alone.  The table is built on the
           first call for each L and kept for the life of the process, so a
           lowered sieve cap picks its own table; every later call only reads
-          it.  A call costs about sqrt(N) log(d0) exact floor quotients,
-          taken by summatory's floor-sum kernels, and fewer than 2 N^(1/3)
-          table reads in place of sqrt(N).  At N = 10^12 that is 2762 large
-          terms in one block, 8.5 million quotients and 16000 table reads.
+          it.  summatory.divisor_prefix builds it: the compiled library's
+          segmented divisor sieve, which writes D(0..L) in one pass, or
+          np.cumsum(sieve_tau(L)) where the library does not load.  So the
+          first call in a process loads, or on an empty cache compiles, the
+          library even for N <= L.  A call costs about sqrt(N) log(d0)
+          exact floor quotients, taken by summatory's floor-sum kernels,
+          and fewer than 2 N^(1/3) table reads in place of sqrt(N).  At
+          N = 10^12 that is 2762 large terms in one block, 8.5 million
+          quotients and 16000 table reads.
           Any L >= 1 and any d1 in [d0, sqrt(N) + 1] give the same
           integer; they only move the cost between the ranges.
 
@@ -62,7 +67,7 @@ import threading
 import numpy as np
 
 from .arith import check_natural, check_sieve_limit, sieve_cap, sieve_tau
-from .summatory import CHUNK, _check_domain, _isqrt
+from .summatory import CHUNK, _check_domain, _isqrt, divisor_prefix
 
 # lemma1 and identity check N once and then call the unchecked kernels.  They
 # are bound under the public names, so a wrapper on this module sees each call.
@@ -103,18 +108,18 @@ def s_brute(n: int) -> int:
 
     Every pair with a*b <= n has min(a, b) <= isqrt(n), so summing the
     rows a <= isqrt(n) twice and subtracting the doubly counted square
-    block (both coordinates <= isqrt(n)) visits each ordered pair exactly
-    once.  Rows run as vectorized gcd + divisor-table gathers.
+    block (both coordinates <= isqrt(n)), whose row a is the first isqrt(n)
+    entries of row a, visits each ordered pair exactly once.  Rows run as
+    vectorized gcd + divisor-table gathers.
     """
     check_argument(n, Algorithm.BRUTE)
     r = math.isqrt(n)
     taus = sieve_tau(r)
     total = 0
     for a in range(1, r + 1):
-        row = np.arange(1, n // a + 1, dtype=np.int64)
-        total += 2 * int(taus[np.gcd(a, row)].sum())
-    block = np.arange(1, r + 1, dtype=np.int64)
-    total -= int(taus[np.gcd.outer(block, block)].sum())
+        # row a of the square block is the first r entries of row a
+        t = taus[np.gcd(a, np.arange(1, n // a + 1, dtype=np.int64))]
+        total += 2 * int(t.sum()) - int(t[:r].sum())
     return total
 
 
@@ -139,12 +144,14 @@ def _table_prefix(limit: int) -> np.ndarray:
 
 @functools.lru_cache(maxsize=4)
 def _build_table_prefix(limit: int) -> np.ndarray:
-    """Running sums of sieve_tau(limit); call it through _table_prefix.
+    """D(0..limit) from divisor_prefix(limit); call it through _table_prefix.
 
-    sieve_tau is looked up as a module global at call time, so a wrapper
-    bound on this module sees the build; the tau array is dropped.
+    divisor_prefix is looked up as a module global at call time, so a
+    wrapper bound on this module sees the build.  On the first build in a
+    process it loads the compiled library, taking summatory's kernel lock
+    inside the table lock; nothing takes the two in the other order.
     """
-    prefix = np.cumsum(sieve_tau(limit))
+    prefix = divisor_prefix(limit)
     prefix.flags.writeable = False
     return prefix
 

@@ -13,10 +13,11 @@ once, and divisor_summatory(x) is its one-row case.  Its floor sums run in
 whole chunks of CHUNK values of k, in one of two kernels.
 
 The compiled kernel, floor_sum.c, is built with the system C compiler on
-the first floor_sum call in a process, cached per user and loaded with
-ctypes.  Its header gives the route that each row and chunk of k takes:
-int64 quotients, float64 quotients, or float64 products with reciprocals
-r_k that are rounded up a little, and the proof of those products.
+the first floor_sum or divisor_prefix call in a process, cached per user
+and loaded with ctypes.  Its header gives the route that each row and
+chunk of k takes: int64 quotients, float64 quotients, or float64 products
+with reciprocals r_k that are rounded up a little, and the proof of those
+products.
 RECIP_X = 818836295885544, about 2^50 / 1.375, the x below which the
 products are exact, is derived from that proof.
 
@@ -24,6 +25,11 @@ Where the compiled kernel cannot be built or loaded, floor_sum runs the
 NumPy kernel, _floor_sum_numpy, which the tests also use as the
 reference.  It builds no reciprocals: it divides in float64 below 2^53
 and in int64 above, and sums each chunk in int64.
+
+divisor_prefix(limit) is the table D(0..limit) that s_identity reads its
+small D(x) from.  The library's gcdsum_divisor_prefix sieves the divisor
+pairs in segments that stay in the L1 cache and writes the running sums
+as it goes; where no library loads, it is np.cumsum(sieve_tau(limit)).
 
 lattice_count evaluates the unfolded floor sum sum_{r<=M} floor(M/r)
 instead, batching the O(sqrt M) maximal ranges of r over which the
@@ -60,7 +66,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .arith import check_natural
+from .arith import check_natural, check_sieve_limit, sieve_tau
 
 CHUNK = 2**14
 MAX_X = 225_203_186_528_917_274
@@ -109,7 +115,7 @@ _KERNEL_LOCK = threading.Lock()
 
 
 def _compiled_kernel():
-    """The compiled floor-sum kernel, or None where floor_sum runs NumPy.
+    """The compiled library, or None where floor_sum and divisor_prefix run NumPy.
 
     It is built and loaded on the first call in a process.  The lock makes
     threads that start on a cold cache wait for one build.
@@ -161,11 +167,14 @@ def _load_kernel():
         return None
 
 
-def _open_kernel(lib: Path):
-    """gcdsum_floor_sum of the library at lib, loaded with its C signature."""
-    kernel = ctypes.CDLL(str(lib)).gcdsum_floor_sum
-    kernel.argtypes = (ctypes.c_int64, ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p)
-    kernel.restype = ctypes.c_int
+def _open_kernel(lib: Path) -> ctypes.CDLL:
+    """The library at lib, its gcdsum_floor_sum and gcdsum_divisor_prefix
+    bound with their C signatures."""
+    kernel = ctypes.CDLL(str(lib))
+    floor_sum, divisor_prefix = kernel.gcdsum_floor_sum, kernel.gcdsum_divisor_prefix
+    floor_sum.argtypes = (ctypes.c_int64, ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p)
+    divisor_prefix.argtypes = (ctypes.c_int64, ctypes.c_void_p)
+    floor_sum.restype = divisor_prefix.restype = ctypes.c_int
     return kernel
 
 
@@ -219,7 +228,7 @@ def floor_sum(x: np.ndarray, r: np.ndarray) -> int:
     if kernel is None:
         return _floor_sum_numpy(x, r)
     out = np.empty(len(r), dtype=np.int64)
-    if kernel(len(r), x.ctypes.data, r.ctypes.data, out.ctypes.data):
+    if kernel.gcdsum_floor_sum(len(r), x.ctypes.data, r.ctypes.data, out.ctypes.data):
         raise MemoryError("no memory for a chunk of reciprocals")
     return sum(out.tolist())
 
@@ -245,6 +254,24 @@ def _floor_sum_numpy(x: np.ndarray, r: np.ndarray) -> int:
             q = np.divide(float(v), kf[:n]).astype(np.int64) if v < 2**53 else v // k[:n]
             total += int(q.sum())
     return total
+
+
+def divisor_prefix(limit: int) -> np.ndarray:
+    """D(0), D(1), ..., D(limit) as one int64 array: the running sums of tau.
+
+    Refuses a limit outside [1, sieve cap], as sieve_tau does.  The compiled
+    library's gcdsum_divisor_prefix sieves the array in segments wherever
+    _compiled_kernel loads it; elsewhere it is np.cumsum(sieve_tau(limit)),
+    which shares no code with the C sieve and is the tests' reference.
+    """
+    check_sieve_limit(limit, "limit")
+    kernel = _compiled_kernel()
+    if kernel is None:
+        return np.cumsum(sieve_tau(limit))
+    out = np.empty(limit + 1, dtype=np.int64)
+    if kernel.gcdsum_divisor_prefix(limit, out.ctypes.data):
+        raise MemoryError("no memory for the divisor table")
+    return out
 
 
 def divisor_summatory_batch(x: np.ndarray) -> int:

@@ -1,5 +1,6 @@
 import subprocess
 import sys
+import types
 
 import pytest
 
@@ -189,12 +190,23 @@ def test_exact_refuses_the_largest_natural_at_once(capsys, deadline, alg):
 
 
 def test_out_of_memory_is_one_error_line(monkeypatch, capsys):
-    # a compiled kernel that cannot allocate a chunk of reciprocals returns
-    # -1 and floor_sum raises MemoryError, which the CLI reports in one line
-    monkeypatch.setattr(gcdsum.summatory, "_compiled_kernel", lambda: lambda *args: -1)
+    # a C function that cannot allocate returns -1, and its caller raises
+    # MemoryError, which the CLI reports in one line: gcdsum_floor_sum's
+    # chunk of reciprocals on a warm table, and on a cold one first
+    # gcdsum_divisor_prefix's array of each sieving a's next multiple
+    s_identity(1)
+    failing = types.SimpleNamespace(gcdsum_floor_sum=lambda *args: -1,
+                                    gcdsum_divisor_prefix=lambda *args: -1)
+    monkeypatch.setattr(gcdsum.summatory, "_compiled_kernel", lambda: failing)
     assert run(["exact", str(10**10)]) == 1
     captured = capsys.readouterr()
     assert captured.err == "error: no memory for a chunk of reciprocals\n"
+    assert captured.out == ""
+    # a failed build leaves the table cache empty
+    gcdsum.gcd_sum._build_table_prefix.cache_clear()
+    assert run(["exact", "10"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: no memory for the divisor table\n"
     assert captured.out == ""
 
 

@@ -171,9 +171,10 @@ def table_builds(monkeypatch, cold_table):
 
     def counting(limit):
         limits.append(limit)
-        return sieve_tau(limit)
+        return build(limit)
 
-    monkeypatch.setattr(gcd_sum, "sieve_tau", counting)
+    build = gcd_sum.divisor_prefix
+    monkeypatch.setattr(gcd_sum, "divisor_prefix", counting)
     return limits
 
 
@@ -328,6 +329,14 @@ def test_identity_table_follows_the_sieve_cap(table_builds, monkeypatch):
             assert s_identity(n) == value, (cap, n)
     # the cap bounds the table's memory: each cap gets a table of its own size
     assert table_builds == [10, 1000, TABLE_CAP]
+
+
+@pytest.mark.parametrize("cap", ["1", "8193", None])
+def test_identity_table_is_the_sieve_prefix_on_a_cold_cache(cold_table, monkeypatch, cap):
+    # built by the kernel that runs the test: the C sieve, or the NumPy one
+    limit = _set_cap(monkeypatch, cap)
+    s_identity(10**6)
+    assert gcd_sum._table_prefix(limit).tolist() == np.cumsum(sieve_tau(limit)).tolist()
 
 
 def test_identity_table_is_read_only(cold_table, monkeypatch):
@@ -511,6 +520,8 @@ def test_rejects_zero():
 
 
 def test_brute_cap():
+    # the value at the cap is lemma1's and identity's
+    assert s_brute(10**7) == 248928748
     with pytest.raises(ValueError):
         s_brute(10**7 + 1)
 

@@ -1,11 +1,13 @@
 """The floor-sum tests, run again on the NumPy kernel.
 
-floor_sum runs the compiled kernel wherever it loads, so the tests of
-test_summatory.py and the frozen-value and thread stress tests of
-test_gcd_sum.py check that kernel under their own names.  Imported here,
-they are collected a second time, and the autouse fixture below sends
-every floor_sum call in them to the NumPy kernel, as on a host where no
-compiled kernel loads.
+floor_sum and divisor_prefix run the compiled kernel wherever it loads,
+so the tests of test_summatory.py and the frozen-value, table and thread
+stress tests of test_gcd_sum.py check that kernel under their own names.
+Imported here, they are collected a second time, and the autouse fixture
+below sends every call in them to the NumPy kernel, as on a host where no
+compiled kernel loads.  It also empties s_identity's table cache, so that
+each test builds its own divisor table with np.cumsum(sieve_tau(limit))
+instead of reading the one the compiled sieve built.
 """
 
 import pytest
@@ -17,6 +19,7 @@ from test_gcd_sum import (
     cold_table,
     table_builds,
     test_identity_at_frozen_values_confirmed_by_lemma1,
+    test_identity_table_is_the_sieve_prefix_on_a_cold_cache,
     test_identity_threads_on_a_cold_table,
 )
 from test_summatory import (
@@ -40,5 +43,5 @@ from test_summatory import (
 
 
 @pytest.fixture(autouse=True)
-def numpy_kernel(monkeypatch):
+def numpy_kernel(monkeypatch, cold_table):
     monkeypatch.setattr(summatory, "_compiled_kernel", lambda: None)

@@ -59,12 +59,11 @@
    each m >= 1 has one divisor pair (a, b) with ab = m and a <= b per
    divisor a <= sqrt(m), which adds 2 to tau(m), or 1 when a = b.  So each
    a <= isqrt(limit) adds 2 at its multiples from a^2 on and takes 1 back
-   at a^2.  The n run in segments [lo, hi) of SEGMENT entries, in order.
-   Invariant: when a segment starts, next[a] is a^2 for every a with
-   a^2 >= lo, and the least multiple of a at or above lo for every other
-   a; a segment marks the multiples below hi of the a with a^2 < hi, from
-   next[a] on, and leaves next[a] at the first one at or above hi.  So
-   each pair is marked once, in the segment that holds its product, and a
+   at a^2.  The n run in segments [lo, hi) of SEGMENT entries, in order,
+   and no state passes from one segment to the next: a segment marks the
+   multiples below hi of every a with a^2 < hi, from a^2 when a^2 >= lo,
+   and otherwise from the least multiple of a at or above lo.  So each
+   pair is marked once, in the segment that holds its product, and a
    finished segment holds tau(lo..hi-1), which is added onto the running
    sum in out.  A segment holds tau in int32: tau(m) <= 2 sqrt(m), as one
    member of each divisor pair is at most sqrt(m), so tau(m) < 2^31 for
@@ -73,8 +72,8 @@
    thread, gets its own, which stays in the L1 cache and costs no
    allocation.  A static _Thread_local buffer of 128 KB made every later
    gcdsum_floor_sum call about 3 us slower on a 2-core Xeon.  The sieve is
-   scalar integer code, so it is not cloned.  gcdsum_divisor_prefix returns
-   0, or -1 when next cannot be allocated. */
+   scalar integer code, so it is not cloned.  It allocates nothing and
+   cannot fail. */
 
 #include <math.h>
 #include <stdint.h>
@@ -206,33 +205,25 @@ int gcdsum_floor_sum(int64_t rows, const int64_t *x, const int64_t *r, int64_t *
 /* the entries of one segment of gcdsum_divisor_prefix's sieve, 32 KB in int32 */
 #define SEGMENT (1 << 13)
 
-int gcdsum_divisor_prefix(int64_t limit, int64_t *out)
+void gcdsum_divisor_prefix(int64_t limit, int64_t *out)
 {
     int32_t seg[SEGMENT];
-    int64_t top = 0, total = 0;
-    while ((top + 1) * (top + 1) <= limit)
-        top++;
-    int64_t *next = malloc((top + 1) * sizeof *next);
-    if (!next)
-        return -1;
-    for (int64_t a = 1; a <= top; a++)
-        next[a] = a * a;
+    int64_t total = 0;
     for (int64_t lo = 0; lo <= limit; lo += SEGMENT) {
         int64_t hi = lo + SEGMENT <= limit + 1 ? lo + SEGMENT : limit + 1;
         for (int64_t i = 0; i < hi - lo; i++)
             seg[i] = 0;
-        /* the a with a^2 < hi, each from next[a] */
+        /* the a with a^2 < hi, each from a^2 or its first multiple at or above lo */
         for (int64_t a = 1; a * a < hi; a++) {
-            int64_t m = next[a];
-            if (m == a * a)
+            int64_t m = a * a;
+            if (m >= lo)
                 seg[m - lo] -= 1;
+            else
+                m = (lo + a - 1) / a * a;
             for (; m < hi; m += a)
                 seg[m - lo] += 2;
-            next[a] = m;
         }
         for (int64_t i = 0; i < hi - lo; i++)
             out[lo + i] = total += seg[i];
     }
-    free(next);
-    return 0;
 }

@@ -174,7 +174,7 @@ def _open_kernel(lib: Path) -> ctypes.CDLL:
     floor_sum, divisor_prefix = kernel.gcdsum_floor_sum, kernel.gcdsum_divisor_prefix
     floor_sum.argtypes = (ctypes.c_int64, ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p)
     divisor_prefix.argtypes = (ctypes.c_int64, ctypes.c_void_p)
-    floor_sum.restype = divisor_prefix.restype = ctypes.c_int
+    floor_sum.restype, divisor_prefix.restype = ctypes.c_int, None
     return kernel
 
 
@@ -269,8 +269,7 @@ def divisor_prefix(limit: int) -> np.ndarray:
     if kernel is None:
         return np.cumsum(sieve_tau(limit))
     out = np.empty(limit + 1, dtype=np.int64)
-    if kernel.gcdsum_divisor_prefix(limit, out.ctypes.data):
-        raise MemoryError("no memory for the divisor table")
+    kernel.gcdsum_divisor_prefix(limit, out.ctypes.data)
     return out
 
 

@@ -190,23 +190,27 @@ def test_exact_refuses_the_largest_natural_at_once(capsys, deadline, alg):
 
 
 def test_out_of_memory_is_one_error_line(monkeypatch, capsys):
-    # a C function that cannot allocate returns -1, and its caller raises
-    # MemoryError, which the CLI reports in one line: gcdsum_floor_sum's
-    # chunk of reciprocals on a warm table, and on a cold one first
-    # gcdsum_divisor_prefix's array of each sieving a's next multiple
+    # the CLI reports a MemoryError in one line: floor_sum raises one when
+    # gcdsum_floor_sum cannot allocate a chunk of reciprocals (returns -1) on
+    # a warm table, and a cold table build when np.empty cannot allocate the
+    # table that divisor_prefix fills
     s_identity(1)
-    failing = types.SimpleNamespace(gcdsum_floor_sum=lambda *args: -1,
-                                    gcdsum_divisor_prefix=lambda *args: -1)
+    failing = types.SimpleNamespace(gcdsum_floor_sum=lambda *args: -1)
     monkeypatch.setattr(gcdsum.summatory, "_compiled_kernel", lambda: failing)
     assert run(["exact", str(10**10)]) == 1
     captured = capsys.readouterr()
     assert captured.err == "error: no memory for a chunk of reciprocals\n"
     assert captured.out == ""
+
+    def no_memory(limit):
+        raise MemoryError(f"Unable to allocate an array with shape ({limit + 1},)")
+
     # a failed build leaves the table cache empty
     gcdsum.gcd_sum._build_table_prefix.cache_clear()
+    monkeypatch.setattr(gcdsum.gcd_sum, "divisor_prefix", no_memory)
     assert run(["exact", "10"]) == 1
     captured = capsys.readouterr()
-    assert captured.err == "error: no memory for the divisor table\n"
+    assert captured.err == "error: Unable to allocate an array with shape (131073,)\n"
     assert captured.out == ""
 
 

@@ -73,6 +73,16 @@ def test_identity_at_frozen_values_confirmed_by_lemma1(monkeypatch, n, value):
     assert s_identity(n) == value
 
 
+def test_identity_at_max_x_on_the_compiled_kernel(monkeypatch):
+    # the largest batch: 80 blocks of d, 16 rows at or above RECIP_X.  The
+    # value rests on identity alone; test_numpy_kernel.py does not import
+    # this test, since the NumPy kernel takes about 16 s here
+    if summatory._compiled_kernel() is None:
+        pytest.skip("no compiled kernel on this host")
+    _set_cap(monkeypatch, None)
+    assert s_identity(MAX_X) == FROZEN_S[MAX_X]
+
+
 def test_brute_matches_pair_enumeration():
     for n in list(range(1, 120)) + [137, 200, 256]:
         assert s_brute(n) == s_by_pair_enumeration(n)

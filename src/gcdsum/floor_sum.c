@@ -1,4 +1,5 @@
-/* The compiled kernels of gcdsum.summatory.floor_sum and divisor_prefix.
+/* The compiled kernels of gcdsum.summatory.floor_sum and divisor_prefix, and
+   the lattice-count sum of gcdsum.gcd_sum.s_lemma1.
 
    gcdsum_floor_sum writes out[i] = sum_{k=1..r_i} x_i // k for every row
    of a non-increasing batch with 0 <= x_i <= MAX_X; the Python caller adds
@@ -73,6 +74,20 @@
    allocation.  A static _Thread_local buffer of 128 KB made every later
    gcdsum_floor_sum call about 3 us slower on a 2-core Xeon.  The sieve is
    scalar integer code, so it is not cloned.  It allocates nothing and
+   cannot fail.
+
+   gcdsum_lemma1 returns S(n) = sum_{d=1..end} lattice_count(n / d^2) for
+   1 <= n <= MAX_X and end = isqrt(n), which the caller passes: the sum of
+   gcd_sum.s_lemma1.  lattice_count(m) is summatory._lattice_count's
+   unfolded walk over the blocks of r that share one quotient q = m / r,
+   each settled as q (m / q - r + 1).  It shares no math with
+   gcd_sum.s_identity: integer division only, no floats, reciprocals,
+   divisor table or folding.  Its bounds: a block adds at most m, and a
+   count is D(m) <= m (1 + ln m) <= 2^63 - 1 for m <= MAX_X, so no count
+   wraps.  The sum is at most sum_d (n / d^2)(1 + ln n) <= zeta(2) (2^63 -
+   1) < 2^64, so one uint64 holds it with no carry.  It can exceed 2^63,
+   as S(MAX_X) = 14436324993676221952 does, so the caller reads it
+   unsigned.  Scalar integer code too, not cloned; it allocates nothing and
    cannot fail. */
 
 #include <math.h>
@@ -226,4 +241,24 @@ void gcdsum_divisor_prefix(int64_t limit, int64_t *out)
         for (int64_t i = 0; i < hi - lo; i++)
             out[lo + i] = total += seg[i];
     }
+}
+
+/* sum_{r=1..m} m / r: the points r s <= m, a block of r with one quotient at a time */
+static uint64_t lattice_count(uint64_t m)
+{
+    uint64_t total = 0;
+    for (uint64_t r = 1, q, hi; r <= m; r = hi + 1) {
+        q = m / r;
+        hi = m / q;
+        total += q * (hi - r + 1);
+    }
+    return total;
+}
+
+uint64_t gcdsum_lemma1(int64_t n, int64_t end)
+{
+    uint64_t total = 0;
+    for (int64_t d = 1; d <= end; d++)
+        total += lattice_count((uint64_t)(n / (d * d)));
+    return total;
 }

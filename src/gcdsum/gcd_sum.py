@@ -12,6 +12,12 @@ lemma1    classifies pairs by their common divisors: tau(gcd(a, b)) is the
 
               S(N) = sum_{d <= sqrt(N)} lattice_count(floor(N / d^2)).
 
+          The whole sum is one call of the compiled library's
+          gcdsum_lemma1, integer division only, wherever the library
+          loads; elsewhere it runs in Python, one memoized lattice_count
+          per d.  It shares no code with identity but the library's
+          build and load.
+
 identity  folds the same inner count into the divisor summatory function,
 
               S(N) = sum_{d <= sqrt(N)} D(floor(N / d^2)),
@@ -66,6 +72,7 @@ import threading
 
 import numpy as np
 
+from . import summatory
 from .arith import check_natural, check_sieve_limit, sieve_cap, sieve_tau
 from .summatory import CHUNK, _check_domain, _isqrt, divisor_prefix
 
@@ -124,9 +131,19 @@ def s_brute(n: int) -> int:
 
 
 def s_lemma1(n: int) -> int:
-    """S(N) as a sum of hyperbola lattice counts, one per d <= sqrt(N)."""
+    """S(N) as a sum of hyperbola lattice counts, one per d <= sqrt(N).
+
+    One call of the compiled library's gcdsum_lemma1 wherever
+    summatory._compiled_kernel loads it, looked up at call time.  Elsewhere
+    the same sum runs in Python, each count through lattice_count and its
+    memo; the tests check the library against that sum.
+    """
     check_argument(n, Algorithm.LEMMA1_LATTICE)
-    return sum(lattice_count(n // (d * d)) for d in range(1, math.isqrt(n) + 1))
+    end = math.isqrt(n)
+    kernel = summatory._compiled_kernel()
+    if kernel is None:
+        return sum(lattice_count(n // (d * d)) for d in range(1, end + 1))
+    return kernel.gcdsum_lemma1(n, end)
 
 
 _TABLE_LOCK = threading.Lock()

@@ -13,11 +13,11 @@ once, and divisor_summatory(x) is its one-row case.  Its floor sums run in
 whole chunks of CHUNK values of k, in one of two kernels.
 
 The compiled kernel, floor_sum.c, is built with the system C compiler on
-the first floor_sum or divisor_prefix call in a process, cached per user
-and loaded with ctypes.  Its header gives the route that each row and
-chunk of k takes: int64 quotients, float64 quotients, or float64 products
-with reciprocals r_k that are rounded up a little, and the proof of those
-products.
+the first floor_sum, divisor_prefix or gcd_sum.s_lemma1 call in a
+process, cached per user and loaded with ctypes.  Its header gives the
+route that each row and chunk of k takes: int64 quotients, float64
+quotients, or float64 products with reciprocals r_k that are rounded up a
+little, and the proof of those products.
 RECIP_X = 818836295885544, about 2^50 / 1.375, the x below which the
 products are exact, is derived from that proof.
 
@@ -35,10 +35,12 @@ lattice_count evaluates the unfolded floor sum sum_{r<=M} floor(M/r)
 instead, batching the O(sqrt M) maximal ranges of r over which the
 quotient floor(M/r) is constant.  The two routines are deliberately
 independent implementations of the same quantity so they can
-cross-validate each other.  _lattice_count keeps its last 128 counts:
-s_lemma1(N) passes it floor(N / d^2), which repeats over runs of
-consecutive d once d > N^(1/3) and, in a sweep over N, stays the same for
-d^2 consecutive N, while only about 2 N^(1/3) arguments are live at a time.
+cross-validate each other.  The library's gcdsum_lemma1 walks the same
+blocks in C for every floor(N / d^2) of s_lemma1(N) in one call.  Where no
+library loads, s_lemma1 calls _lattice_count instead, which keeps its last
+128 counts: floor(N / d^2) repeats over runs of consecutive d once
+d > N^(1/3) and, in a sweep over N, stays the same for d^2 consecutive N,
+while only about 2 N^(1/3) arguments are live at a time.
 
 Boundary convention: points on the hyperbola r*s = x are included,
 points on either axis are not.
@@ -168,13 +170,17 @@ def _load_kernel():
 
 
 def _open_kernel(lib: Path) -> ctypes.CDLL:
-    """The library at lib, its gcdsum_floor_sum and gcdsum_divisor_prefix
-    bound with their C signatures."""
+    """The library at lib, its gcdsum_floor_sum, gcdsum_divisor_prefix and
+    gcdsum_lemma1 bound with their C signatures.  gcdsum_lemma1 returns an
+    unsigned 64-bit sum, as S(N) passes 2^63 below MAX_X."""
     kernel = ctypes.CDLL(str(lib))
     floor_sum, divisor_prefix = kernel.gcdsum_floor_sum, kernel.gcdsum_divisor_prefix
+    lemma1 = kernel.gcdsum_lemma1
     floor_sum.argtypes = (ctypes.c_int64, ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p)
     divisor_prefix.argtypes = (ctypes.c_int64, ctypes.c_void_p)
+    lemma1.argtypes = (ctypes.c_int64, ctypes.c_int64)
     floor_sum.restype, divisor_prefix.restype = ctypes.c_int, None
+    lemma1.restype = ctypes.c_uint64
     return kernel
 
 

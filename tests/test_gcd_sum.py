@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 import random
@@ -6,6 +7,8 @@ import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gcdsum import (
     Algorithm,
@@ -359,13 +362,17 @@ def test_identity_table_is_read_only(cold_table, monkeypatch):
 
 
 def test_identity_threads_on_a_cold_table(table_builds, monkeypatch):
-    # each trial starts 4 threads on an empty cache: the lock must let
-    # exactly one of them build the table, and every result must match
+    # each trial starts 4 threads on an empty table cache and an unloaded
+    # library: the locks must let exactly one of them build the table and
+    # one load the library, and every result must match
     _set_cap(monkeypatch, None)
     # the last three fold the table half, each kernel call with its own buffer
     ns = (list(range(1, 2001)) + [10**6 + k for k in range(40)]
           + [10**10 + 1, 10**9 + 7, 10**12 + 1])
     serial = [s_identity(n) for n in ns]
+    # s_lemma1 too, in the compiled library or through the shared memo
+    lemma1_ns = ns[:2040]
+    serial_lemma1 = [s_lemma1(n) for n in lemma1_ns]
     # and every thread runs the kernels on rows of all three routes, in
     # reciprocal first chunks of long and short rows and in shared later chunks
     rows = np.array([2**53 + 1, 2**53 - 1, RECIP_X, RECIP_X - 1, RECIP_X - 2, 10**12,
@@ -380,13 +387,17 @@ def test_identity_threads_on_a_cold_table(table_builds, monkeypatch):
     try:
         for trial in range(10):
             gcd_sum._build_table_prefix.cache_clear()
+            summatory._load_kernel.cache_clear()
             table_builds.clear()
             results = [None] * len(ns)
+            lemma1_results = [None] * len(lemma1_ns)
             row_results = [None] * 4
             start = threading.Barrier(4)
 
             def work(i):
                 start.wait()
+                for j in range(i, len(lemma1_ns), 4):
+                    lemma1_results[j] = s_lemma1(lemma1_ns[j])
                 for j in range(i, len(ns), 4):
                     results[j] = s_identity(ns[j])
                 row_results[i] = (summatory.floor_sum(rows, widths),
@@ -399,6 +410,7 @@ def test_identity_threads_on_a_cold_table(table_builds, monkeypatch):
                 t.join(timeout=60)
             assert not any(t.is_alive() for t in threads), trial
             assert results == serial, trial
+            assert lemma1_results == serial_lemma1, trial
             assert row_results == [serial_rows] * 4, trial
             assert table_builds == [TABLE_CAP], trial
     finally:
@@ -454,6 +466,51 @@ def test_lemma1_threads_on_a_cold_memo(cold_memo):
             assert results == expected, trial
     finally:
         sys.setswitchinterval(interval)
+
+
+@functools.cache
+def lemma1_in_python(n):
+    """s_lemma1's sum in Python, the reference of the compiled gcdsum_lemma1.
+
+    Cached, since test_numpy_kernel.py runs the tests that use it again.
+    """
+    return sum(summatory._lattice_count(n // (d * d)) for d in range(1, math.isqrt(n) + 1))
+
+
+def test_lemma1_matches_the_oracle_to_20000():
+    assert [s_lemma1(n) for n in range(1, 20001)] == s_upto(20000).tolist()[1:]
+
+
+# a decade, then an N in it, so that large N are drawn as often as small ones
+@settings(derandomize=True, database=None, deadline=None, max_examples=30)
+@given(st.integers(1, 10).flatmap(lambda k: st.integers(10 ** (k - 1), 10**k)))
+def test_lemma1_matches_its_python_sum(n):
+    assert s_lemma1(n) == lemma1_in_python(n)
+
+
+def test_lemma1_at_squares_and_cubes():
+    # at k^2 the last d = k divides N exactly; at k^2 - 1 the last d is k - 1
+    edges = {k**2 for k in range(1, 1001)} | {k**3 for k in range(1, 101)}
+    for n in sorted(e + delta for e in edges for delta in (-1, 0, 1) if e + delta >= 1):
+        assert s_lemma1(n) == lemma1_in_python(n), n
+
+
+def test_lemma1_next_to_10_to_the_12():
+    for n in (10**12 - 1, 10**12 + 1):
+        assert s_lemma1(n) == lemma1_in_python(n), n
+
+
+def test_compiled_lemma1_sum_past_2_to_the_63_reads_unsigned():
+    # S(N) passes 2^63 below MAX_X, and only the offline run of s_lemma1(MAX_X)
+    # reaches it; the library's two largest counts there, D(MAX_X) and
+    # D(MAX_X / 4), already sum past it (15-18 s on a 2-core Xeon).  The
+    # NumPy kernel's test file does not import this test
+    kernel = summatory._compiled_kernel()
+    if kernel is None:
+        pytest.skip("no compiled kernel on this host")
+    value = divisor_summatory(MAX_X) + divisor_summatory(MAX_X // 4)
+    assert value > 2**63
+    assert kernel.gcdsum_lemma1(MAX_X, 2) == value
 
 
 @pytest.mark.parametrize("evaluator", [s_lemma1, s_identity])

@@ -1,13 +1,14 @@
-"""The floor-sum tests, run again on the NumPy kernel.
+"""The floor-sum and lemma1 tests, run again without the compiled library.
 
-floor_sum and divisor_prefix run the compiled kernel wherever it loads,
-so the tests of test_summatory.py and the frozen-value, table and thread
-stress tests of test_gcd_sum.py check that kernel under their own names.
-Imported here, they are collected a second time, and the autouse fixture
-below sends every call in them to the NumPy kernel, as on a host where no
-compiled kernel loads.  It also empties s_identity's table cache, so that
-each test builds its own divisor table with np.cumsum(sieve_tau(limit))
-instead of reading the one the compiled sieve built.
+floor_sum, divisor_prefix and s_lemma1 run the compiled library wherever
+it loads, so the tests of test_summatory.py and the frozen-value, table,
+lemma1 and thread stress tests of test_gcd_sum.py check that library under
+their own names.  Imported here, they are collected a second time, and the
+autouse fixture below sends every call in them to the NumPy kernel and to
+s_lemma1's Python sum, as on a host where no compiled library loads.  It
+also empties s_identity's table cache, so that each test builds its own
+divisor table with np.cumsum(sieve_tau(limit)) instead of reading the one
+the compiled sieve built.
 """
 
 import pytest
@@ -16,11 +17,19 @@ from gcdsum import summatory
 
 # the tests, and the fixtures they request
 from test_gcd_sum import (
+    cold_memo,
     cold_table,
     table_builds,
     test_identity_at_frozen_values_confirmed_by_lemma1,
     test_identity_table_is_the_sieve_prefix_on_a_cold_cache,
     test_identity_threads_on_a_cold_table,
+    test_lattice_count_memo_is_bounded,
+    test_lemma1_at_squares_and_cubes,
+    test_lemma1_matches_its_python_sum,
+    test_lemma1_matches_the_oracle_on_a_cold_and_a_warm_memo,
+    test_lemma1_matches_the_oracle_to_20000,
+    test_lemma1_next_to_10_to_the_12,
+    test_lemma1_threads_on_a_cold_memo,
 )
 from test_summatory import (
     test_divisor_summatory_across_recip_x,

@@ -66,6 +66,11 @@ def sieve_tau(limit: int) -> np.ndarray:
     ~0.8 GB).  Read-only, hence safe to share across threads.
     """
     check_sieve_limit(limit, "limit")
+    return _sieve_tau(limit)
+
+
+def _sieve_tau(limit: int) -> np.ndarray:
+    """sieve_tau without the cap check, for summatory.divisor_prefix."""
     t = np.zeros(limit + 1, dtype=np.int64)
     for d in range(1, math.isqrt(limit) + 1):
         t[d * d::d] += 2

@@ -22,10 +22,9 @@ identity  folds the same inner count into the divisor summatory function,
 
               S(N) = sum_{d <= sqrt(N)} D(floor(N / d^2)),
 
-          the production evaluator.  It splits the d at one table limit
-          per process, L = min(TABLE_CAP, sieve cap): with
-          d0 = isqrt(N // (L + 1)) + 1, every d >= d0 has
-          floor(N / d^2) <= L, and d1 = (2N)^(1/3), clamped to
+          the production evaluator.  It splits the d at the table limit
+          L = TABLE_CAP = 2^17: with d0 = isqrt(N // (L + 1)) + 1, every
+          d >= d0 has floor(N / d^2) <= L, and d1 = (2N)^(1/3), clamped to
           [d0, sqrt(N) + 1], balances the last two of three ranges:
 
           d < d0        the large terms, x = floor(N / d^2) > L: exact D(x)
@@ -38,23 +37,24 @@ identity  folds the same inner count into the divisor summatory function,
                         sum over m <= N // d1^2 of tau(m) times the number
                         of d >= d1 with d^2 m <= N.
 
-          While the table half has at most CHUNK terms (at the default
-          cap, N below about 2.7 * 10^8) the fold does not pay, so
-          d1 = sqrt(N) + 1 and the table half is one gather; for N <= L,
-          d0 = 1 and S(N) is that gather alone.  The table is built on the
-          first call for each L and kept for the life of the process, so a
-          lowered sieve cap picks its own table; every later call only reads
-          it.  summatory.divisor_prefix builds it: the compiled library's
-          segmented divisor sieve, which writes D(0..L) in one pass, or
-          np.cumsum(sieve_tau(L)) where the library does not load.  So the
-          first call in a process loads, or on an empty cache compiles, the
-          library even for N <= L.  A call costs about sqrt(N) log(d0)
-          exact floor quotients, taken by summatory's floor-sum kernels,
-          and fewer than 2 N^(1/3) table reads in place of sqrt(N).  At
-          N = 10^12 that is 2762 large terms in one block, 8.5 million
-          quotients and 16000 table reads.
+          While the table half has at most CHUNK terms (N below about
+          2.7 * 10^8) the fold does not pay, so d1 = sqrt(N) + 1 and the
+          table half is one gather; for N <= L, d0 = 1 and S(N) is that
+          gather alone.  The table, 1 MB, is built on the first call and
+          kept for the life of the process; every later call only reads
+          it.  GCDSUM_SIEVE_CAP, which bounds the sieves a caller sizes,
+          does not bound it.  summatory.divisor_prefix builds it: the
+          compiled library's segmented divisor sieve, which writes D(0..L)
+          in one pass, or np.cumsum of sieve_tau's sieve where the library
+          does not load.  So the first call in a process loads, or on an
+          empty cache compiles, the library even for N <= L.  A call costs
+          about sqrt(N) log(d0) exact floor quotients, taken by summatory's
+          floor-sum kernels, and fewer than 2 N^(1/3) table reads in place
+          of sqrt(N).  At N = 10^12 that is 2762 large terms in one block,
+          8.5 million quotients and 16000 table reads.
           Any L >= 1 and any d1 in [d0, sqrt(N) + 1] give the same
-          integer; they only move the cost between the ranges.
+          integer; they only move the cost between the ranges.  s_identity
+          reads TABLE_CAP at call time, so the tests lower L by patching it.
 
 All three agree exactly wherever they are all defined; the test suite
 leans hard on that three-way agreement.
@@ -73,11 +73,12 @@ import threading
 import numpy as np
 
 from . import summatory
-from .arith import check_natural, check_sieve_limit, sieve_cap, sieve_tau
+from .arith import check_natural, check_sieve_limit, sieve_tau
 from .summatory import CHUNK, _check_domain, _isqrt, divisor_prefix
 
 # lemma1 and identity check N once and then call the unchecked kernels.  They
-# are bound under the public names, so a wrapper on this module sees each call.
+# are bound under the public names, so a wrapper on this module sees each call
+# that identity, and lemma1's Python sum, make; the compiled lemma1 makes none.
 # divisor_summatory is bound for perfbench/tracer.py, which wraps it by name.
 from .summatory import _lattice_count as lattice_count
 from .summatory import divisor_summatory, divisor_summatory_batch
@@ -99,14 +100,14 @@ def check_argument(n: int, algorithm: Algorithm) -> None:
 
     Every evaluator starts with this check.  brute takes 1 <= N <=
     DEFAULT_BRUTE_CAP; lemma1 and identity take 1 <= N <= MAX_X, so that
-    every floor(N / d^2) is in the kernels' domain.
+    every floor(N / d^2) is in the kernels' domain.  N is checked to be a
+    natural once, by check_natural or by _check_domain, which calls it.
     """
-    check_natural(n, "N")
+    brute = algorithm is Algorithm.BRUTE
+    (check_natural if brute else _check_domain)(n, "N")
     if n == 0:
         raise ValueError("S(N) requires N >= 1")
-    if algorithm is not Algorithm.BRUTE:
-        _check_domain(n, "N")
-    elif n > DEFAULT_BRUTE_CAP:
+    if brute and n > DEFAULT_BRUTE_CAP:
         raise ValueError(f"N={n} exceeds the brute-force cap of {DEFAULT_BRUTE_CAP}")
 
 
@@ -163,10 +164,13 @@ def _table_prefix(limit: int) -> np.ndarray:
 def _build_table_prefix(limit: int) -> np.ndarray:
     """D(0..limit) from divisor_prefix(limit); call it through _table_prefix.
 
-    divisor_prefix is looked up as a module global at call time, so a
-    wrapper bound on this module sees the build.  On the first build in a
-    process it loads the compiled library, taking summatory's kernel lock
-    inside the table lock; nothing takes the two in the other order.
+    s_identity passes TABLE_CAP, so a process builds one table, of
+    TABLE_CAP + 1 entries, whatever the sieve cap; the tests build one more
+    for each TABLE_CAP they patch in.  divisor_prefix is looked up as a
+    module global at call time, so a wrapper bound on this module sees the
+    build.  On the first build in a process it loads the compiled library,
+    taking summatory's kernel lock inside the table lock; nothing takes the
+    two in the other order.
     """
     prefix = divisor_prefix(limit)
     prefix.flags.writeable = False
@@ -191,17 +195,17 @@ def _folded_tail(prefix: np.ndarray, n: int, d1: int) -> int:
 def s_identity(n: int) -> int:
     """S(N) as a sum of divisor summatory values; the production path.
 
-    The d < d0, whose floor(N / d^2) exceed L = min(TABLE_CAP, sieve cap),
-    go to divisor_summatory_batch in blocks of CHUNK values of d, which
-    bound the arrays that a call holds at once: one batch of all 1.3
-    million large terms at MAX_X peaked at 114 MB against 39 MB, for no
+    The d < d0, whose floor(N / d^2) exceed L = TABLE_CAP, read when the
+    call starts, go to divisor_summatory_batch in blocks of CHUNK values of
+    d, which bound the arrays that a call holds at once: one batch of all
+    1.3 million large terms at MAX_X peaked at 114 MB against 39 MB, for no
     speed gain (BENCH_19.json).  The d in [d0, d1) are one gather from the
     table's prefix sums, at most 38836 of them, at N near 8 * 10^14.  The
     d >= d1 are folded.  While the table half has at most CHUNK terms,
     d1 = sqrt(N) + 1 and nothing is folded.
     """
     check_argument(n, Algorithm.IDENTITY_SUMMATORY)
-    limit = min(TABLE_CAP, sieve_cap())
+    limit = TABLE_CAP
     prefix = _table_prefix(limit)
     d0 = math.isqrt(n // (limit + 1)) + 1
     end = math.isqrt(n) + 1

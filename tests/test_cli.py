@@ -183,7 +183,13 @@ def test_verify_catches_an_evaluator_off_by_one(monkeypatch, capsys, name):
 
 
 @pytest.mark.parametrize("alg", ["identity", "lemma1"])
-def test_exact_refuses_the_largest_natural_at_once(capsys, deadline, alg):
+def test_exact_refuses_the_largest_natural_at_once(monkeypatch, capsys, deadline, alg):
+    # the compiled lemma1 is one ctypes call, which the deadline cannot stop
+    def never(*args):
+        raise AssertionError(f"kernel called with {args}")
+
+    kernel = types.SimpleNamespace(gcdsum_lemma1=never)
+    monkeypatch.setattr(gcdsum.summatory, "_compiled_kernel", lambda: kernel)
     with deadline(1.0):
         assert run(["exact", str(2**63 - 1), "--alg", alg]) == 1
     assert "MAX_X" in capsys.readouterr().err

@@ -4,6 +4,7 @@ import math
 import random
 import sys
 import threading
+import types
 
 import numpy as np
 import pytest
@@ -21,7 +22,7 @@ from gcdsum import (
     sieve_tau,
 )
 from gcdsum import gcd_sum, summatory
-from gcdsum.arith import DEFAULT_SIEVE_CAP, MAX_NATURAL
+from gcdsum.arith import MAX_NATURAL
 from gcdsum.gcd_sum import TABLE_CAP, s_upto
 from gcdsum.summatory import CHUNK, MAX_X, RECIP_X
 from oracles import common_divisors, s_by_pair_enumeration
@@ -66,23 +67,21 @@ def test_regression_value_at_1e6():
 
 
 @pytest.mark.parametrize(("n", "value"), [(n, FROZEN_S[n]) for n in (10**14, 10**15, 10**16)])
-def test_identity_at_frozen_values_confirmed_by_lemma1(monkeypatch, n, value):
+def test_identity_at_frozen_values_confirmed_by_lemma1(n, value):
     # s_lemma1 gave each value once (52 s, 226 s and 772 s).  10^14 spans two
     # blocks of d.  At 10^15 the row of d = 1 is in [RECIP_X, 2^53): int64 in
     # its first chunk, float divide in its later ones.  At 10^16 the row of
     # d = 1 is at or above 2^53, int64 in every chunk, and those of d = 2, 3
     # take the two routes of 10^15's d = 1.  The rows of larger d multiply
-    _set_cap(monkeypatch, None)
     assert s_identity(n) == value
 
 
-def test_identity_at_max_x_on_the_compiled_kernel(monkeypatch):
+def test_identity_at_max_x_on_the_compiled_kernel():
     # the largest batch: 80 blocks of d, 16 rows at or above RECIP_X.  The
     # value rests on identity alone; test_numpy_kernel.py does not import
     # this test, since the NumPy kernel takes about 16 s here
     if summatory._compiled_kernel() is None:
         pytest.skip("no compiled kernel on this host")
-    _set_cap(monkeypatch, None)
     assert s_identity(MAX_X) == FROZEN_S[MAX_X]
 
 
@@ -121,11 +120,11 @@ def test_s_upto_matches_identity():
 
 
 def test_s_upto_matches_identity_under_a_lowered_sieve_cap(monkeypatch):
-    # at the default cap every N <= 20000 is one gather; at cap 100 each N
+    # at L = 2^17 every N <= 20000 is one gather; at TABLE_CAP = 100 each N
     # above 100 sends up to 14 large terms, short rows of many widths,
     # through divisor_summatory_batch
     table = s_upto(20000)
-    monkeypatch.setenv("GCDSUM_SIEVE_CAP", "100")
+    _set_cap(monkeypatch, 100)
     for n in range(1, 20001):
         assert table[n] == s_identity(n), n
 
@@ -192,12 +191,10 @@ def table_builds(monkeypatch, cold_table):
 
 
 def _set_cap(monkeypatch, cap):
-    """Set GCDSUM_SIEVE_CAP, or unset it for None; returns s_identity's table limit."""
-    if cap is None:
-        monkeypatch.delenv("GCDSUM_SIEVE_CAP", raising=False)
-    else:
-        monkeypatch.setenv("GCDSUM_SIEVE_CAP", cap)
-    return min(TABLE_CAP, int(cap or DEFAULT_SIEVE_CAP))
+    """Patch gcd_sum.TABLE_CAP to cap, unless cap is None; returns s_identity's table limit."""
+    if cap is not None:
+        monkeypatch.setattr(gcd_sum, "TABLE_CAP", cap)
+    return gcd_sum.TABLE_CAP
 
 
 def _large_terms(n, limit):
@@ -223,7 +220,7 @@ def test_identity_at_perfect_squares():
             assert s_identity(m * d * d) == s_lemma1(m * d * d), (m, d)
 
 
-@pytest.mark.parametrize(("cap", "ds"), [("100", range(2, 61)), (None, range(2, 9))],
+@pytest.mark.parametrize(("cap", "ds"), [(100, range(2, 61)), (None, range(2, 9))],
                          ids=["cap100", "default_cap"])
 def test_identity_split_on_a_square(monkeypatch, traced_identity, cap, ds):
     # N = d^2 (L + 1): floor(N / d^2) = L + 1 exactly, so d is the last large term
@@ -235,7 +232,7 @@ def test_identity_split_on_a_square(monkeypatch, traced_identity, cap, ds):
 
 
 def test_identity_where_split_point_moves(monkeypatch, traced_identity):
-    limit = _set_cap(monkeypatch, "1000")
+    limit = _set_cap(monkeypatch, 1000)
     split = [math.isqrt(n // (limit + 1)) + 1 for n in range(200_001)]
     moves = [n for n in range(2, 200_001) if split[n] != split[n - 1]]
     assert len(moves) >= 10
@@ -244,15 +241,15 @@ def test_identity_where_split_point_moves(monkeypatch, traced_identity):
     for k, n in enumerate(moves, start=1):
         counts = [_check_split(traced_identity, m, limit) for m in (n - 1, n, n + 1)]
         assert counts == [k - 1, k, k], n
-    # at the default cap, L = 2^17 and the moves are at k^2 (2^17 + 1)
-    _set_cap(monkeypatch, None)
+    # at the shipped TABLE_CAP, L = 2^17 and the moves are at k^2 (2^17 + 1)
+    _set_cap(monkeypatch, TABLE_CAP)
     for k in range(1, 13):
         n = k * k * (TABLE_CAP + 1)
         counts = [_check_split(traced_identity, m, TABLE_CAP) for m in (n - 1, n, n + 1)]
         assert counts == [k - 1, k, k], n
 
 
-@pytest.mark.parametrize("cap", ["1000", None])
+@pytest.mark.parametrize("cap", [1000, None])
 def test_identity_where_the_first_term_leaves_the_table(monkeypatch, traced_identity, cap):
     limit = _set_cap(monkeypatch, cap)
     # N <= L is one gather; from L + 1 on, d = 1 goes to divisor_summatory_batch
@@ -265,7 +262,6 @@ def test_batched_halves_start_where_the_gather_needs_two_chunks(monkeypatch, tra
     # below the first N whose gather of d >= d0 exceeds CHUNK terms, the table
     # half is one gather; from it on, the d >= d1 are folded.  Either way every
     # large term goes through divisor_summatory_batch, in order of d
-    _set_cap(monkeypatch, None)
     k = next(k for k in itertools.count(CHUNK)
              if k - math.isqrt(k * k // (TABLE_CAP + 1)) > CHUNK)
     folds = []
@@ -288,7 +284,7 @@ def test_batched_halves_start_where_the_gather_needs_two_chunks(monkeypatch, tra
             assert math.isqrt(n // (TABLE_CAP + 1)) < folds[0][1] <= math.isqrt(n), n
 
 
-@pytest.mark.parametrize("cap", ["10", "100", "1000"])
+@pytest.mark.parametrize("cap", [10, 100, 1000])
 def test_folded_tail_matches_the_gather_for_every_d1(monkeypatch, cap):
     limit = _set_cap(monkeypatch, cap)
     prefix = gcd_sum._table_prefix(limit)
@@ -308,7 +304,7 @@ def lemma1_at_seeded_n():
     return {n: s_lemma1(n) for n in (rng.randrange(5 * 10**8, 2 * 10**9) for _ in range(10))}
 
 
-@pytest.mark.parametrize("cap", ["10", "1000", None], ids=["cap10", "cap1000", "default_cap"])
+@pytest.mark.parametrize("cap", [10, 1000, None], ids=["cap10", "cap1000", "default_cap"])
 def test_identity_on_seeded_n_with_batch_and_fold(monkeypatch, lemma1_at_seeded_n, cap):
     _set_cap(monkeypatch, cap)
     for n, value in lemma1_at_seeded_n.items():
@@ -325,8 +321,7 @@ def test_vectorized_isqrt_matches_math_isqrt():
     assert got.tolist() == [math.isqrt(v) for v in q]
 
 
-def test_identity_builds_one_table_per_process(table_builds, monkeypatch):
-    _set_cap(monkeypatch, None)
+def test_identity_builds_one_table_per_process(table_builds):
     for n in range(1, 3001):
         assert s_identity(n) == s_lemma1(n), n
     assert s_identity(10**12) == FROZEN_S[10**12]
@@ -335,16 +330,17 @@ def test_identity_builds_one_table_per_process(table_builds, monkeypatch):
 
 
 def test_identity_table_follows_the_sieve_cap(table_builds, monkeypatch):
+    # the table follows TABLE_CAP, read at call time: each value gets a table
+    # of its own size
     expected = {n: s_lemma1(n) for n in (999, 10**6, 10**9 + 7)}
-    for cap in ("10", "1000", None):
+    for cap in (10, 1000, TABLE_CAP):
         _set_cap(monkeypatch, cap)
         for n, value in expected.items():
             assert s_identity(n) == value, (cap, n)
-    # the cap bounds the table's memory: each cap gets a table of its own size
     assert table_builds == [10, 1000, TABLE_CAP]
 
 
-@pytest.mark.parametrize("cap", ["1", "8193", None])
+@pytest.mark.parametrize("cap", [1, 8193, None])
 def test_identity_table_is_the_sieve_prefix_on_a_cold_cache(cold_table, monkeypatch, cap):
     # built by the kernel that runs the test: the C sieve, or the NumPy one
     limit = _set_cap(monkeypatch, cap)
@@ -352,8 +348,7 @@ def test_identity_table_is_the_sieve_prefix_on_a_cold_cache(cold_table, monkeypa
     assert gcd_sum._table_prefix(limit).tolist() == np.cumsum(sieve_tau(limit)).tolist()
 
 
-def test_identity_table_is_read_only(cold_table, monkeypatch):
-    _set_cap(monkeypatch, None)
+def test_identity_table_is_read_only(cold_table):
     s_identity(10)
     prefix = gcd_sum._table_prefix(TABLE_CAP)
     assert not prefix.flags.writeable
@@ -361,11 +356,10 @@ def test_identity_table_is_read_only(cold_table, monkeypatch):
         prefix[5] = 0
 
 
-def test_identity_threads_on_a_cold_table(table_builds, monkeypatch):
+def test_identity_threads_on_a_cold_table(table_builds):
     # each trial starts 4 threads on an empty table cache and an unloaded
     # library: the locks must let exactly one of them build the table and
     # one load the library, and every result must match
-    _set_cap(monkeypatch, None)
     # the last three fold the table half, each kernel call with its own buffer
     ns = (list(range(1, 2001)) + [10**6 + k for k in range(40)]
           + [10**10 + 1, 10**9 + 7, 10**12 + 1])
@@ -515,11 +509,14 @@ def test_compiled_lemma1_sum_past_2_to_the_63_reads_unsigned():
 
 @pytest.mark.parametrize("evaluator", [s_lemma1, s_identity])
 def test_evaluators_refuse_past_max_x_up_front(monkeypatch, deadline, evaluator):
-    def never(x):
-        raise AssertionError(f"kernel called with {x}")
+    # the compiled lemma1 is one ctypes call, which the deadline cannot stop
+    def never(*args):
+        raise AssertionError(f"kernel called with {args}")
 
     monkeypatch.setattr(gcd_sum, "divisor_summatory_batch", never)
     monkeypatch.setattr(gcd_sum, "lattice_count", never)
+    kernel = types.SimpleNamespace(gcdsum_lemma1=never)
+    monkeypatch.setattr(summatory, "_compiled_kernel", lambda: kernel)
     for n in (MAX_X + 1, MAX_NATURAL):
         with deadline(1.0), pytest.raises(OverflowError, match="MAX_X"):
             evaluator(n)
@@ -540,17 +537,43 @@ def test_evaluators_check_n_once_not_every_term(monkeypatch):
     assert checks == []
 
 
+@pytest.mark.parametrize("algorithm", list(Algorithm))
+def test_evaluators_check_n_is_natural_once(monkeypatch, algorithm):
+    # lemma1 and identity check it in summatory._check_domain, brute in gcd_sum
+    checks = []
+    check = gcd_sum.check_natural
+
+    def counting(x, name):
+        checks.append(x)
+        return check(x, name)
+
+    for module in (gcd_sum, summatory):
+        monkeypatch.setattr(module, "check_natural", counting)
+    for n in (1, 1000, 10**6):
+        checks.clear()
+        assert s_exact(n, algorithm) == s_upto(n)[n]
+        assert checks == [n], n
+
+
 def test_identity_under_a_lowered_sieve_cap(monkeypatch):
-    monkeypatch.setenv("GCDSUM_SIEVE_CAP", "10")
-    assert s_identity(10**6) == 21107131
-    monkeypatch.setenv("GCDSUM_SIEVE_CAP", "1")
+    _set_cap(monkeypatch, 10)
+    assert s_identity(10**6) == FROZEN_S[10**6]
+    # 99 short rows, the d < 100, in one divisor_summatory_batch call
+    _set_cap(monkeypatch, 100)
+    assert s_identity(10**6) == FROZEN_S[10**6]
+    _set_cap(monkeypatch, 1)
     assert s_identity(12345) == s_lemma1(12345)
 
 
-def test_identity_refuses_a_sieve_cap_below_one(monkeypatch):
-    monkeypatch.setenv("GCDSUM_SIEVE_CAP", "0")
-    with pytest.raises(ValueError, match="GCDSUM_SIEVE_CAP"):
-        s_identity(100)
+@pytest.mark.parametrize("cap", ["1", "100", "1000", "0"])
+def test_identity_table_ignores_the_sieve_cap(table_builds, monkeypatch, cap):
+    # the sieve cap bounds the sieves a caller sizes, not identity's table:
+    # under any cap, even an invalid one, a cold table is one of TABLE_CAP + 1
+    # entries, built by the kernel that runs the test
+    monkeypatch.setenv("GCDSUM_SIEVE_CAP", cap)
+    assert s_identity(10**6) == FROZEN_S[10**6]
+    assert table_builds == [TABLE_CAP]
+    assert len(gcd_sum._table_prefix(TABLE_CAP)) == TABLE_CAP + 1
 
 
 def test_s_is_strictly_increasing_with_tau_sized_steps():

@@ -6,14 +6,12 @@ public arguments and results, enforced here.
 """
 
 import math
-import os
 
 import numpy as np
 
 MAX_NATURAL = 2**63 - 1
 
-DEFAULT_SIEVE_CAP = 10**8
-SIEVE_CAP_ENV = "GCDSUM_SIEVE_CAP"
+SIEVE_CAP = 10**8
 
 
 def check_natural(n: int, name: str = "n") -> int:
@@ -27,31 +25,13 @@ def check_natural(n: int, name: str = "n") -> int:
     return n
 
 
-def sieve_cap() -> int:
-    """Sieve entry cap; override with the GCDSUM_SIEVE_CAP env variable."""
-    raw = os.environ.get(SIEVE_CAP_ENV)
-    if raw is None or not raw.strip():
-        return DEFAULT_SIEVE_CAP
-    try:
-        cap = int(raw)
-    except ValueError:
-        raise ValueError(f"{SIEVE_CAP_ENV} must be an integer, got {raw!r}") from None
-    if cap < 1:
-        raise ValueError(f"{SIEVE_CAP_ENV} must be >= 1, got {raw!r}")
-    return cap
-
-
 def check_sieve_limit(limit: int, name: str) -> None:
-    """Refuse a sieve size outside [1, sieve_cap()], naming the cap's env variable."""
+    """Refuse a sieve size outside [1, SIEVE_CAP] before anything is allocated."""
     check_natural(limit, name)
     if limit < 1:
         raise ValueError(f"{name} must be >= 1, got {limit}")
-    cap = sieve_cap()
-    if limit > cap:
-        raise ValueError(
-            f"{name}={limit} exceeds the sieve cap of {cap} entries "
-            f"(override with {SIEVE_CAP_ENV})"
-        )
+    if limit > SIEVE_CAP:
+        raise ValueError(f"{name}={limit} exceeds the sieve cap of {SIEVE_CAP} entries")
 
 
 def sieve_tau(limit: int) -> np.ndarray:
@@ -62,15 +42,10 @@ def sieve_tau(limit: int) -> np.ndarray:
     n = d*d.  So every d <= sqrt(limit) adds 2 to the multiples of d from
     d*d on and takes 1 back at d*d.  That is isqrt(limit) vectorized
     passes and O(limit log limit) element updates, into one int64 array
-    of limit + 1 entries (the default cap of 10^8 entries keeps it under
-    ~0.8 GB).  Read-only, hence safe to share across threads.
+    of limit + 1 entries (the cap, SIEVE_CAP = 10^8 entries, keeps it
+    under ~0.8 GB).  Read-only, hence safe to share across threads.
     """
     check_sieve_limit(limit, "limit")
-    return _sieve_tau(limit)
-
-
-def _sieve_tau(limit: int) -> np.ndarray:
-    """sieve_tau without the cap check, for summatory.divisor_prefix."""
     t = np.zeros(limit + 1, dtype=np.int64)
     for d in range(1, math.isqrt(limit) + 1):
         t[d * d::d] += 2

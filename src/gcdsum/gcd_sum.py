@@ -42,12 +42,11 @@ identity  folds the same inner count into the divisor summatory function,
           table half is one gather; for N <= L, d0 = 1 and S(N) is that
           gather alone.  The table, 1 MB, is built on the first call and
           kept for the life of the process; every later call only reads
-          it.  GCDSUM_SIEVE_CAP, which bounds the sieves a caller sizes,
-          does not bound it.  summatory.divisor_prefix builds it: the
-          compiled library's segmented divisor sieve, which writes D(0..L)
-          in one pass, or np.cumsum of sieve_tau's sieve where the library
-          does not load.  So the first call in a process loads, or on an
-          empty cache compiles, the library even for N <= L.  A call costs
+          it.  summatory.divisor_prefix builds it: the compiled
+          library's segmented divisor sieve, which writes D(0..L) in one
+          pass, or np.cumsum of sieve_tau's sieve where the library does
+          not load.  So the first call in a process loads, or on an empty
+          cache compiles, the library even for N <= L.  A call costs
           about sqrt(N) log(d0) exact floor quotients, taken by summatory's
           floor-sum kernels, and fewer than 2 N^(1/3) table reads in place
           of sqrt(N).  At N = 10^12 that is 2762 large terms in one block,
@@ -165,12 +164,12 @@ def _build_table_prefix(limit: int) -> np.ndarray:
     """D(0..limit) from divisor_prefix(limit); call it through _table_prefix.
 
     s_identity passes TABLE_CAP, so a process builds one table, of
-    TABLE_CAP + 1 entries, whatever the sieve cap; the tests build one more
-    for each TABLE_CAP they patch in.  divisor_prefix is looked up as a
-    module global at call time, so a wrapper bound on this module sees the
-    build.  On the first build in a process it loads the compiled library,
-    taking summatory's kernel lock inside the table lock; nothing takes the
-    two in the other order.
+    TABLE_CAP + 1 entries; the tests build one more for each TABLE_CAP they
+    patch in.  divisor_prefix is looked up as a module global at call
+    time, so a wrapper bound on this module sees the build.  On the first
+    build in a process it loads the compiled library, taking summatory's
+    kernel lock inside the table lock; nothing takes the two in the other
+    order.
     """
     prefix = divisor_prefix(limit)
     prefix.flags.writeable = False
@@ -227,7 +226,7 @@ def s_upto(m: int) -> np.ndarray:
     Starts from f = 1 and, for each prime power q = p^k <= m, replaces the
     factor f(p^(k-1)) of every multiple of q by f(p^k); the division is
     exact because that factor was put there at p^(k-1).  Refuses m above
-    the sieve cap, as sieve_tau does.
+    arith.SIEVE_CAP before allocating, as sieve_tau does.
     """
     check_sieve_limit(m, "m")
     is_prime = np.ones(m + 1, dtype=bool)

@@ -29,8 +29,7 @@ and in int64 above, and sums each chunk in int64.
 divisor_prefix(limit) is the table D(0..limit) that s_identity reads its
 small D(x) from.  The library's gcdsum_divisor_prefix sieves the divisor
 pairs in segments that stay in the L1 cache and writes the running sums
-as it goes; where no library loads, it is np.cumsum of sieve_tau's sieve,
-which the sieve cap does not bound.
+as it goes; where no library loads, it is np.cumsum of sieve_tau's sieve.
 
 lattice_count evaluates the unfolded floor sum sum_{r<=M} floor(M/r)
 instead, batching the O(sqrt M) maximal ranges of r over which the
@@ -69,7 +68,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .arith import _sieve_tau, check_natural
+from .arith import check_natural, sieve_tau
 
 CHUNK = 2**14
 MAX_X = 225_203_186_528_917_274
@@ -267,16 +266,16 @@ def _floor_sum_numpy(x: np.ndarray, r: np.ndarray) -> int:
 def divisor_prefix(limit: int) -> np.ndarray:
     """D(0), D(1), ..., D(limit) as one int64 array: the running sums of tau.
 
-    limit is not checked, nor held to the sieve cap: the package's one
-    caller, s_identity, passes gcd_sum.TABLE_CAP under any
-    GCDSUM_SIEVE_CAP.  The compiled library's gcdsum_divisor_prefix sieves
-    the array in segments wherever _compiled_kernel loads it; elsewhere it
-    is np.cumsum of sieve_tau's sieve, which shares no code with the C
-    sieve and is the tests' reference.
+    The package's one caller, s_identity, passes gcd_sum.TABLE_CAP = 2^17.
+    The compiled library's gcdsum_divisor_prefix sieves the array in
+    segments wherever _compiled_kernel loads it, and does not check limit.
+    Elsewhere it is np.cumsum of sieve_tau's sieve, which shares no code
+    with the C sieve and is the tests' reference; sieve_tau checks limit
+    against arith.SIEVE_CAP, far above TABLE_CAP.
     """
     kernel = _compiled_kernel()
     if kernel is None:
-        return np.cumsum(_sieve_tau(limit))
+        return np.cumsum(sieve_tau(limit))
     out = np.empty(limit + 1, dtype=np.int64)
     kernel.gcdsum_divisor_prefix(limit, out.ctypes.data)
     return out

@@ -4,8 +4,8 @@ import random
 import numpy as np
 import pytest
 
-from gcdsum import sieve_tau
-from gcdsum.arith import sieve_cap
+from gcdsum import gcd_sum, sieve_tau
+from gcdsum.arith import SIEVE_CAP, check_sieve_limit
 from oracles import tau_by_enumeration
 from oracles import tau_by_trial_division as tau
 
@@ -66,28 +66,25 @@ def test_sieve_prefix_structure():
     assert all(int(t[p]) == 2 for p in (2, 3, 5, 7, 1999))
 
 
-def test_sieve_rejects_bad_limits():
+def test_sieve_rejects_bad_limits(deadline):
     with pytest.raises(ValueError):
         sieve_tau(0)
+    # refused before the 0.8 GB array is allocated
+    with deadline(1.0), pytest.raises(ValueError, match="exceeds the sieve cap"):
+        sieve_tau(SIEVE_CAP + 1)
 
 
-def test_sieve_cap_env_override(monkeypatch):
-    monkeypatch.setenv("GCDSUM_SIEVE_CAP", "50")
-    with pytest.raises(ValueError):
-        sieve_tau(100)
-    assert len(sieve_tau(50)) - 1 == 50
-    monkeypatch.setenv("GCDSUM_SIEVE_CAP", "not-a-number")
-    with pytest.raises(ValueError):
-        sieve_tau(10)
+def test_sieve_limit_check_at_the_cap():
+    # the check itself allocates nothing
+    assert check_sieve_limit(SIEVE_CAP, "m") is None
+    with pytest.raises(ValueError, match=f"^m={SIEVE_CAP + 1} exceeds the sieve cap of {SIEVE_CAP} entries$"):
+        check_sieve_limit(SIEVE_CAP + 1, "m")
 
 
-@pytest.mark.parametrize("raw", ["0", "-3"])
-def test_sieve_cap_below_one_is_refused(monkeypatch, raw):
-    monkeypatch.setenv("GCDSUM_SIEVE_CAP", raw)
-    with pytest.raises(ValueError, match="GCDSUM_SIEVE_CAP"):
-        sieve_cap()
-    with pytest.raises(ValueError, match="GCDSUM_SIEVE_CAP"):
-        sieve_tau(1)
+def test_identity_table_is_within_the_sieve_cap():
+    # divisor_prefix's NumPy fallback builds s_identity's table with the
+    # checked sieve_tau(TABLE_CAP), so that build must never be refused
+    assert gcd_sum.TABLE_CAP <= SIEVE_CAP
 
 
 def test_sieve_arrays_are_frozen():

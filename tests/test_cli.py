@@ -8,8 +8,10 @@ import gcdsum.asymptotics
 import gcdsum.cli
 import gcdsum.gcd_sum
 import gcdsum.summatory
-from gcdsum import error_at, s_identity, write_csv
+from gcdsum import Algorithm, error_at, s_exact, s_identity, sieve_tau, write_csv
+from gcdsum.arith import SIEVE_CAP
 from gcdsum.cli import run
+from gcdsum.gcd_sum import s_upto
 
 
 def test_exact_identity(capsys):
@@ -142,29 +144,27 @@ def test_verify_rejects_zero(capsys):
     assert run(["verify", "--max", "0"]) == 1
 
 
-def test_verify_refuses_max_past_sieve_cap_before_any_n(monkeypatch, capsys):
+def test_verify_refuses_max_past_sieve_cap_before_any_n(monkeypatch, capsys, deadline):
     def no_call(n):
         raise AssertionError(f"evaluated N={n}")
 
-    monkeypatch.setenv("GCDSUM_SIEVE_CAP", "1000")
     monkeypatch.setattr(gcdsum.gcd_sum, "s_lemma1", no_call)
     monkeypatch.setattr(gcdsum.gcd_sum, "s_identity", no_call)
-    assert run(["verify", "--max", "1001"]) == 1
+    with deadline(1.0):
+        assert run(["verify", "--max", str(SIEVE_CAP + 1)]) == 1
     captured = capsys.readouterr()
-    assert "GCDSUM_SIEVE_CAP" in captured.err
+    assert captured.err.startswith(f"error: --max={SIEVE_CAP + 1} exceeds the sieve cap")
     assert captured.out == ""
 
 
-@pytest.mark.parametrize(("cap", "value", "message"),
-                         [("100", "1000", "--max=1000 exceeds the sieve cap of 100 entries"),
-                          (None, str(2**63), f"--max={2**63} exceeds the 2^63 - 1")],
+@pytest.mark.parametrize(("value", "message"),
+                         [(str(SIEVE_CAP + 1),
+                           f"--max={SIEVE_CAP + 1} exceeds the sieve cap of {SIEVE_CAP} entries"),
+                          (str(2**63), f"--max={2**63} exceeds the 2^63 - 1")],
                          ids=["past_sieve_cap", "past_2_63"])
-def test_verify_refusals_name_max(monkeypatch, capsys, cap, value, message):
-    if cap is None:
-        monkeypatch.delenv("GCDSUM_SIEVE_CAP", raising=False)
-    else:
-        monkeypatch.setenv("GCDSUM_SIEVE_CAP", cap)
-    assert run(["verify", "--max", value]) == 1
+def test_verify_refusals_name_max(capsys, deadline, value, message):
+    with deadline(1.0):
+        assert run(["verify", "--max", value]) == 1
     captured = capsys.readouterr()
     assert captured.err.startswith(f"error: {message}")
     assert captured.err.count("\n") == 1
@@ -241,13 +241,20 @@ def test_usage_errors(capsys):
     assert run(["exact", "10", "--bogus"]) == 2
 
 
-def test_sieve_cap_env_reaches_brute(monkeypatch, capsys):
-    # brute at N=1000 memoizes tau over a 31-entry sieve; cap it below that
-    monkeypatch.setenv("GCDSUM_SIEVE_CAP", "10")
-    assert run(["exact", "1000", "--alg", "brute"]) == 1
-    assert "GCDSUM_SIEVE_CAP" in capsys.readouterr().err
-    monkeypatch.delenv("GCDSUM_SIEVE_CAP")
-    assert run(["exact", "1000", "--alg", "brute"]) == 0
+@pytest.mark.parametrize("raw", ["10", "0", "junk"])
+def test_sieve_cap_env_is_not_read(monkeypatch, capsys, raw):
+    # the sieve cap is the constant SIEVE_CAP: no value of GCDSUM_SIEVE_CAP
+    # changes a result or is refused
+    def results():
+        code = run(["verify", "--max", "1000"])
+        return (sieve_tau(100).tolist(), s_upto(1000).tolist(),
+                s_exact(1000, Algorithm.BRUTE), code, capsys.readouterr())
+
+    monkeypatch.delenv("GCDSUM_SIEVE_CAP", raising=False)
+    unset = results()
+    assert unset[3] == 0
+    monkeypatch.setenv("GCDSUM_SIEVE_CAP", raw)
+    assert results() == unset
 
 
 def test_module_entry_point():

@@ -22,7 +22,7 @@ from gcdsum import (
     sieve_tau,
 )
 from gcdsum import gcd_sum, summatory
-from gcdsum.arith import MAX_NATURAL
+from gcdsum.arith import MAX_NATURAL, SIEVE_CAP
 from gcdsum.gcd_sum import TABLE_CAP, s_upto
 from gcdsum.summatory import CHUNK, MAX_X, RECIP_X
 from oracles import common_divisors, s_by_pair_enumeration
@@ -119,12 +119,12 @@ def test_s_upto_matches_identity():
         assert table[n] == s_identity(n), n
 
 
-def test_s_upto_matches_identity_under_a_lowered_sieve_cap(monkeypatch):
+def test_s_upto_matches_identity_under_a_lowered_table_cap(monkeypatch):
     # at L = 2^17 every N <= 20000 is one gather; at TABLE_CAP = 100 each N
     # above 100 sends up to 14 large terms, short rows of many widths,
     # through divisor_summatory_batch
     table = s_upto(20000)
-    _set_cap(monkeypatch, 100)
+    _set_table_cap(monkeypatch, 100)
     for n in range(1, 20001):
         assert table[n] == s_identity(n), n
 
@@ -136,13 +136,25 @@ def test_s_upto_is_read_only():
         table[5] = 0
 
 
-def test_s_upto_refusals(monkeypatch):
+def test_s_upto_refusals(deadline):
     with pytest.raises(ValueError):
         s_upto(0)
-    monkeypatch.setenv("GCDSUM_SIEVE_CAP", "1000")
-    assert s_upto(1000)[1000] == s_identity(1000)
-    with pytest.raises(ValueError, match="GCDSUM_SIEVE_CAP"):
-        s_upto(1001)
+    # refused before the sieve's arrays are allocated
+    with deadline(1.0), pytest.raises(ValueError, match=f"^m={SIEVE_CAP + 1} exceeds the sieve cap"):
+        s_upto(SIEVE_CAP + 1)
+
+
+@pytest.mark.parametrize(("lo", "hi"), [(TABLE_CAP - 100, TABLE_CAP + 20001),
+                                        (4 * (TABLE_CAP + 1) - 10**4, 4 * (TABLE_CAP + 1) + 10**4)],
+                         ids=["d0_1_to_2", "d0_2_to_3"])
+def test_identity_matches_s_upto_where_d0_steps_at_the_table_cap(lo, hi):
+    # at the shipped L = TABLE_CAP, d0 = isqrt(N // (L + 1)) + 1 steps up at
+    # N = d^2 (L + 1): there the large-term half gains a row
+    d0 = [math.isqrt(n // (TABLE_CAP + 1)) + 1 for n in (lo, hi - 1)]
+    assert d0[1] == d0[0] + 1
+    table = s_upto(hi - 1)
+    for n in range(lo, hi):
+        assert s_identity(n) == table[n], n
 
 
 @pytest.fixture
@@ -190,7 +202,7 @@ def table_builds(monkeypatch, cold_table):
     return limits
 
 
-def _set_cap(monkeypatch, cap):
+def _set_table_cap(monkeypatch, cap):
     """Patch gcd_sum.TABLE_CAP to cap, unless cap is None; returns s_identity's table limit."""
     if cap is not None:
         monkeypatch.setattr(gcd_sum, "TABLE_CAP", cap)
@@ -224,7 +236,7 @@ def test_identity_at_perfect_squares():
                          ids=["cap100", "default_cap"])
 def test_identity_split_on_a_square(monkeypatch, traced_identity, cap, ds):
     # N = d^2 (L + 1): floor(N / d^2) = L + 1 exactly, so d is the last large term
-    limit = _set_cap(monkeypatch, cap)
+    limit = _set_table_cap(monkeypatch, cap)
     for d in ds:
         n = d * d * (limit + 1)
         assert _large_terms(n, limit)[-1] == limit + 1
@@ -232,7 +244,7 @@ def test_identity_split_on_a_square(monkeypatch, traced_identity, cap, ds):
 
 
 def test_identity_where_split_point_moves(monkeypatch, traced_identity):
-    limit = _set_cap(monkeypatch, 1000)
+    limit = _set_table_cap(monkeypatch, 1000)
     split = [math.isqrt(n // (limit + 1)) + 1 for n in range(200_001)]
     moves = [n for n in range(2, 200_001) if split[n] != split[n - 1]]
     assert len(moves) >= 10
@@ -242,7 +254,7 @@ def test_identity_where_split_point_moves(monkeypatch, traced_identity):
         counts = [_check_split(traced_identity, m, limit) for m in (n - 1, n, n + 1)]
         assert counts == [k - 1, k, k], n
     # at the shipped TABLE_CAP, L = 2^17 and the moves are at k^2 (2^17 + 1)
-    _set_cap(monkeypatch, TABLE_CAP)
+    _set_table_cap(monkeypatch, TABLE_CAP)
     for k in range(1, 13):
         n = k * k * (TABLE_CAP + 1)
         counts = [_check_split(traced_identity, m, TABLE_CAP) for m in (n - 1, n, n + 1)]
@@ -251,7 +263,7 @@ def test_identity_where_split_point_moves(monkeypatch, traced_identity):
 
 @pytest.mark.parametrize("cap", [1000, None])
 def test_identity_where_the_first_term_leaves_the_table(monkeypatch, traced_identity, cap):
-    limit = _set_cap(monkeypatch, cap)
+    limit = _set_table_cap(monkeypatch, cap)
     # N <= L is one gather; from L + 1 on, d = 1 goes to divisor_summatory_batch
     for n, expected in ((limit - 1, []), (limit, []), (limit + 1, [limit + 1]),
                         (limit + 2, [limit + 2])):
@@ -286,7 +298,7 @@ def test_batched_halves_start_where_the_gather_needs_two_chunks(monkeypatch, tra
 
 @pytest.mark.parametrize("cap", [10, 100, 1000])
 def test_folded_tail_matches_the_gather_for_every_d1(monkeypatch, cap):
-    limit = _set_cap(monkeypatch, cap)
+    limit = _set_table_cap(monkeypatch, cap)
     prefix = gcd_sum._table_prefix(limit)
     for n in range(1, 3001):
         r = math.isqrt(n)
@@ -306,7 +318,7 @@ def lemma1_at_seeded_n():
 
 @pytest.mark.parametrize("cap", [10, 1000, None], ids=["cap10", "cap1000", "default_cap"])
 def test_identity_on_seeded_n_with_batch_and_fold(monkeypatch, lemma1_at_seeded_n, cap):
-    _set_cap(monkeypatch, cap)
+    _set_table_cap(monkeypatch, cap)
     for n, value in lemma1_at_seeded_n.items():
         assert s_identity(n) == value, n
 
@@ -329,12 +341,12 @@ def test_identity_builds_one_table_per_process(table_builds):
     assert len(gcd_sum._table_prefix(TABLE_CAP)) == TABLE_CAP + 1
 
 
-def test_identity_table_follows_the_sieve_cap(table_builds, monkeypatch):
+def test_identity_table_follows_the_table_cap(table_builds, monkeypatch):
     # the table follows TABLE_CAP, read at call time: each value gets a table
     # of its own size
     expected = {n: s_lemma1(n) for n in (999, 10**6, 10**9 + 7)}
     for cap in (10, 1000, TABLE_CAP):
-        _set_cap(monkeypatch, cap)
+        _set_table_cap(monkeypatch, cap)
         for n, value in expected.items():
             assert s_identity(n) == value, (cap, n)
     assert table_builds == [10, 1000, TABLE_CAP]
@@ -343,7 +355,7 @@ def test_identity_table_follows_the_sieve_cap(table_builds, monkeypatch):
 @pytest.mark.parametrize("cap", [1, 8193, None])
 def test_identity_table_is_the_sieve_prefix_on_a_cold_cache(cold_table, monkeypatch, cap):
     # built by the kernel that runs the test: the C sieve, or the NumPy one
-    limit = _set_cap(monkeypatch, cap)
+    limit = _set_table_cap(monkeypatch, cap)
     s_identity(10**6)
     assert gcd_sum._table_prefix(limit).tolist() == np.cumsum(sieve_tau(limit)).tolist()
 
@@ -555,25 +567,14 @@ def test_evaluators_check_n_is_natural_once(monkeypatch, algorithm):
         assert checks == [n], n
 
 
-def test_identity_under_a_lowered_sieve_cap(monkeypatch):
-    _set_cap(monkeypatch, 10)
+def test_identity_under_a_lowered_table_cap(monkeypatch):
+    _set_table_cap(monkeypatch, 10)
     assert s_identity(10**6) == FROZEN_S[10**6]
     # 99 short rows, the d < 100, in one divisor_summatory_batch call
-    _set_cap(monkeypatch, 100)
+    _set_table_cap(monkeypatch, 100)
     assert s_identity(10**6) == FROZEN_S[10**6]
-    _set_cap(monkeypatch, 1)
+    _set_table_cap(monkeypatch, 1)
     assert s_identity(12345) == s_lemma1(12345)
-
-
-@pytest.mark.parametrize("cap", ["1", "100", "1000", "0"])
-def test_identity_table_ignores_the_sieve_cap(table_builds, monkeypatch, cap):
-    # the sieve cap bounds the sieves a caller sizes, not identity's table:
-    # under any cap, even an invalid one, a cold table is one of TABLE_CAP + 1
-    # entries, built by the kernel that runs the test
-    monkeypatch.setenv("GCDSUM_SIEVE_CAP", cap)
-    assert s_identity(10**6) == FROZEN_S[10**6]
-    assert table_builds == [TABLE_CAP]
-    assert len(gcd_sum._table_prefix(TABLE_CAP)) == TABLE_CAP + 1
 
 
 def test_s_is_strictly_increasing_with_tau_sized_steps():

@@ -21,7 +21,7 @@ from test_gcd_sum import (
     cold_table,
     table_builds,
     test_identity_at_frozen_values_confirmed_by_lemma1,
-    test_identity_table_ignores_the_sieve_cap,
+    test_identity_matches_s_upto_where_d0_steps_at_the_table_cap,
     test_identity_table_is_the_sieve_prefix_on_a_cold_cache,
     test_identity_threads_on_a_cold_table,
     test_lattice_count_memo_is_bounded,

@@ -1,5 +1,6 @@
-/* The compiled kernels of gcdsum.summatory.floor_sum and divisor_prefix, and
-   the lattice-count sum of gcdsum.gcd_sum.s_lemma1.
+/* The compiled kernels of gcdsum.summatory.floor_sum and divisor_prefix, the
+   lattice-count sum of gcdsum.gcd_sum.s_lemma1 and the table half of
+   gcdsum.gcd_sum.s_identity.
 
    gcdsum_floor_sum writes out[i] = sum_{k=1..r_i} x_i // k for every row
    of a non-increasing batch with 0 <= x_i <= MAX_X; the Python caller adds
@@ -88,7 +89,24 @@
    1) < 2^64, so one uint64 holds it with no carry.  It can exceed 2^63,
    as S(MAX_X) = 14436324993676221952 does, so the caller reads it
    unsigned.  Scalar integer code too, not cloned; it allocates nothing and
-   cannot fail. */
+   cannot fail.
+
+   gcdsum_table_sum returns the table half of s_identity(n): with d0 =
+   isqrt(n / (L + 1)) + 1, where L + 1 is the length of prefix = D(0..L),
+   and d0 <= d1 <= isqrt(n) + 1, it is
+   sum_{d0 <= d < d1} prefix[n / d^2] plus the fold of every d >= d1,
+   sum_{m <= n / d1^2} tau(m) (isqrt(n / m) - d1 + 1) with
+   tau(m) = prefix[m] - prefix[m - 1]: s_identity's NumPy gather and
+   gcd_sum._folded_tail, whose docstring derives the fold, in one call.
+   d >= d0 keeps every n / d^2, and every m, inside the table.  Its isqrt
+   is summatory._isqrt in scalar form: the truncated sqrt((double)q) of
+   q = n / m <= MAX_X is isqrt(q) or isqrt(q) + 1, by _isqrt's proof, so
+   one downward correction makes it exact, and s^2 is far below 2^63.
+   The gather adds at most (d1 - d0) D(L) and the fold at most
+   isqrt(n) D(L), as it equals the gather over d1 <= d <= isqrt(n), so the
+   sum is at most (d1 - d0 + isqrt(n)) D(L) <= 2 isqrt(n) D(L)
+   < 2^30 * 2^21 for n <= MAX_X and L = 2^17, far below 2^63.  Scalar
+   integer code, not cloned; it allocates nothing and cannot fail. */
 
 #include <math.h>
 #include <stdint.h>
@@ -260,5 +278,18 @@ uint64_t gcdsum_lemma1(int64_t n, int64_t end)
     uint64_t total = 0;
     for (int64_t d = 1; d <= end; d++)
         total += lattice_count((uint64_t)(n / (d * d)));
+    return total;
+}
+
+int64_t gcdsum_table_sum(int64_t n, int64_t d0, int64_t d1, const int64_t *prefix)
+{
+    int64_t total = 0;
+    for (int64_t d = d0; d < d1; d++)
+        total += prefix[n / (d * d)];
+    for (int64_t m = 1, end = n / (d1 * d1); m <= end; m++) {
+        int64_t q = n / m, s = (int64_t)sqrt((double)q);
+        s -= s * s > q;
+        total += (prefix[m] - prefix[m - 1]) * (s - d1 + 1);
+    }
     return total;
 }

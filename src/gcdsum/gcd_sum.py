@@ -30,26 +30,28 @@ identity  folds the same inner count into the divisor summatory function,
           d < d0        the large terms, x = floor(N / d^2) > L: exact D(x)
                         from divisor_summatory_batch, in blocks of CHUNK
                         values of d.
-          d0 <= d < d1  one gather of prefix[N // d^2] from one divisor
+          d0 <= d < d1  a gather of prefix[N // d^2] from one divisor
                         table, prefix[x] = D(x) for x <= L; at most 38836
                         terms, at N near 8 * 10^14.
           d >= d1       folded by the hyperbola method on the d-axis into a
                         sum over m <= N // d1^2 of tau(m) times the number
                         of d >= d1 with d^2 m <= N.
 
-          While the table half has at most CHUNK terms (N below about
-          2.7 * 10^8) the fold does not pay, so d1 = sqrt(N) + 1 and the
-          table half is one gather; for N <= L, d0 = 1 and S(N) is that
-          gather alone.  The table, 1 MB, is built on the first call and
-          kept for the life of the process; every later call only reads
-          it.  summatory.divisor_prefix builds it: the compiled
-          library's segmented divisor sieve, which writes D(0..L) in one
-          pass, or np.cumsum of sieve_tau's sieve where the library does
-          not load.  So the first call in a process loads, or on an empty
-          cache compiles, the library even for N <= L.  A call costs
-          about sqrt(N) log(d0) exact floor quotients, taken by summatory's
-          floor-sum kernels, and fewer than 2 N^(1/3) table reads in place
-          of sqrt(N).  At N = 10^12 that is 2762 large terms in one block,
+          The last two ranges, the table half, are one call of the
+          compiled library's gcdsum_table_sum wherever it loads, and a
+          NumPy gather and _folded_tail elsewhere.  While the table half
+          has at most CHUNK terms (N below about 2.7 * 10^8) the fold does
+          not pay, so d1 = sqrt(N) + 1 and nothing is folded; for N <= L,
+          d0 = 1 and S(N) is the gather alone.  The table, 1 MB, is built
+          on the first call and kept for the life of the process; every
+          later call only reads it.  summatory.divisor_prefix builds it:
+          the compiled library's segmented divisor sieve, which writes
+          D(0..L) in one pass, or np.cumsum of sieve_tau's sieve where the
+          library does not load.  So the first call in a process loads,
+          or on an empty cache compiles, the library even for N <= L.  A
+          call costs about sqrt(N) log(d0) exact floor quotients, taken by
+          summatory's floor-sum kernels, and fewer than 2 N^(1/3) table
+          reads in place of sqrt(N).  At N = 10^12 that is 2762 large terms in one block,
           8.5 million quotients and 16000 table reads.
           Any L >= 1 and any d1 in [d0, sqrt(N) + 1] give the same
           integer; they only move the cost between the ranges.  s_identity
@@ -149,8 +151,9 @@ def s_lemma1(n: int) -> int:
 _TABLE_LOCK = threading.Lock()
 
 
-def _table_prefix(limit: int) -> np.ndarray:
-    """The read-only prefix sums of tau up to limit, built once per limit.
+def _table_prefix(limit: int) -> tuple[np.ndarray, int]:
+    """The read-only prefix sums of tau up to limit, built once per limit,
+    and the address of their data.
 
     The lock makes threads that start on a cold cache wait for one build
     instead of each building its own.
@@ -160,8 +163,13 @@ def _table_prefix(limit: int) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=4)
-def _build_table_prefix(limit: int) -> np.ndarray:
-    """D(0..limit) from divisor_prefix(limit); call it through _table_prefix.
+def _build_table_prefix(limit: int) -> tuple[np.ndarray, int]:
+    """D(0..limit) from divisor_prefix(limit), and the address of its data
+    for gcdsum_table_sum; call it through _table_prefix.
+
+    Reading prefix.ctypes.data costs more than the C call, so it is read
+    once per table.  The address is kept in the same cache entry as the
+    array, which keeps the array alive as long as the address can be read.
 
     s_identity passes TABLE_CAP, so a process builds one table, of
     TABLE_CAP + 1 entries; the tests build one more for each TABLE_CAP they
@@ -173,7 +181,7 @@ def _build_table_prefix(limit: int) -> np.ndarray:
     """
     prefix = divisor_prefix(limit)
     prefix.flags.writeable = False
-    return prefix
+    return prefix, prefix.ctypes.data
 
 
 def _folded_tail(prefix: np.ndarray, n: int, d1: int) -> int:
@@ -198,23 +206,31 @@ def s_identity(n: int) -> int:
     call starts, go to divisor_summatory_batch in blocks of CHUNK values of
     d, which bound the arrays that a call holds at once: one batch of all
     1.3 million large terms at MAX_X peaked at 114 MB against 39 MB, for no
-    speed gain (BENCH_19.json).  The d in [d0, d1) are one gather from the
+    speed gain (BENCH_19.json).  The d in [d0, d1) are gathered from the
     table's prefix sums, at most 38836 of them, at N near 8 * 10^14.  The
     d >= d1 are folded.  While the table half has at most CHUNK terms,
-    d1 = sqrt(N) + 1 and nothing is folded.
+    d1 = sqrt(N) + 1 and nothing is folded.  The table half is one call of
+    the compiled library's gcdsum_table_sum wherever
+    summatory._compiled_kernel loads it, looked up at call time; elsewhere
+    it is one NumPy gather and _folded_tail, which the tests check the
+    library against.
     """
     check_argument(n, Algorithm.IDENTITY_SUMMATORY)
     limit = TABLE_CAP
-    prefix = _table_prefix(limit)
+    prefix, address = _table_prefix(limit)
     d0 = math.isqrt(n // (limit + 1)) + 1
     end = math.isqrt(n) + 1
     # the fold pays only past CHUNK table terms; there d1 ~ (2N)^(1/3) balances
     # gather and fold, and any d1 in [d0, end] gives the same sum
     d1 = end if end - d0 <= CHUNK else min(max(int((2 * n) ** (1 / 3)), d0), end)
-    total = int(prefix[n // np.arange(d0, d1, dtype=np.int64) ** 2].sum())
+    total = 0
     for lo in range(1, d0, CHUNK):
         d = np.arange(lo, min(lo + CHUNK, d0), dtype=np.int64)
         total += divisor_summatory_batch(n // d ** 2)
+    kernel = summatory._compiled_kernel()
+    if kernel is not None:
+        return total + kernel.gcdsum_table_sum(n, d0, d1, address)
+    total += int(prefix[n // np.arange(d0, d1, dtype=np.int64) ** 2].sum())
     if d1 < end:
         total += _folded_tail(prefix, n, d1)
     return total

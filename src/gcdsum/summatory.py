@@ -13,11 +13,11 @@ once, and divisor_summatory(x) is its one-row case.  Its floor sums run in
 whole chunks of CHUNK values of k, in one of two kernels.
 
 The compiled kernel, floor_sum.c, is built with the system C compiler on
-the first floor_sum, divisor_prefix or gcd_sum.s_lemma1 call in a
-process, cached per user and loaded with ctypes.  Its header gives the
-route that each row and chunk of k takes: int64 quotients, float64
-quotients, or float64 products with reciprocals r_k that are rounded up a
-little, and the proof of those products.
+the first floor_sum, divisor_prefix, gcd_sum.s_lemma1 or gcd_sum.s_identity
+call in a process, cached per user and loaded with ctypes.  Its header
+gives the route that each row and chunk of k takes: int64 quotients,
+float64 quotients, or float64 products with reciprocals r_k that are
+rounded up a little, and the proof of those products.
 RECIP_X = 818836295885544, about 2^50 / 1.375, the x below which the
 products are exact, is derived from that proof.
 
@@ -117,8 +117,9 @@ _KERNEL_LOCK = threading.Lock()
 
 
 def _compiled_kernel():
-    """The compiled library, or None where floor_sum and divisor_prefix run
-    NumPy and s_lemma1 sums its lattice counts in Python.
+    """The compiled library, or None where floor_sum, divisor_prefix and
+    s_identity's table half run NumPy and s_lemma1 sums its lattice counts in
+    Python.
 
     It is built and loaded on the first call in a process.  The lock makes
     threads that start on a cold cache wait for one build.
@@ -171,17 +172,19 @@ def _load_kernel():
 
 
 def _open_kernel(lib: Path) -> ctypes.CDLL:
-    """The library at lib, its gcdsum_floor_sum, gcdsum_divisor_prefix and
-    gcdsum_lemma1 bound with their C signatures.  gcdsum_lemma1 returns an
-    unsigned 64-bit sum, as S(N) passes 2^63 below MAX_X."""
+    """The library at lib, its gcdsum_floor_sum, gcdsum_divisor_prefix,
+    gcdsum_lemma1 and gcdsum_table_sum bound with their C signatures.
+    gcdsum_lemma1 returns an unsigned 64-bit sum, as S(N) passes 2^63 below
+    MAX_X."""
     kernel = ctypes.CDLL(str(lib))
     floor_sum, divisor_prefix = kernel.gcdsum_floor_sum, kernel.gcdsum_divisor_prefix
-    lemma1 = kernel.gcdsum_lemma1
+    lemma1, table_sum = kernel.gcdsum_lemma1, kernel.gcdsum_table_sum
     floor_sum.argtypes = (ctypes.c_int64, ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p)
     divisor_prefix.argtypes = (ctypes.c_int64, ctypes.c_void_p)
     lemma1.argtypes = (ctypes.c_int64, ctypes.c_int64)
+    table_sum.argtypes = (ctypes.c_int64, ctypes.c_int64, ctypes.c_int64, ctypes.c_void_p)
     floor_sum.restype, divisor_prefix.restype = ctypes.c_int, None
-    lemma1.restype = ctypes.c_uint64
+    lemma1.restype, table_sum.restype = ctypes.c_uint64, ctypes.c_int64
     return kernel
 
 

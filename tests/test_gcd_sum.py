@@ -1,4 +1,5 @@
 import functools
+import gc
 import itertools
 import math
 import random
@@ -270,24 +271,61 @@ def test_identity_where_the_first_term_leaves_the_table(monkeypatch, traced_iden
         assert traced_identity(n) == (s_lemma1(n), expected), n
 
 
+def _table_half(prefix, n, d0, d1):
+    """The table half of s_identity(n) as the NumPy path sums it: the plain
+    gather of d0 <= d < d1 and the fold of d >= d1."""
+    gather = int(prefix[n // np.arange(d0, d1, dtype=np.int64) ** 2].sum())
+    return gather + gcd_sum._folded_tail(prefix, n, d1)
+
+
+def _compiled_table_sum():
+    """gcdsum_table_sum, or a skip where the library does not load."""
+    kernel = summatory._compiled_kernel()
+    if kernel is None:
+        pytest.skip("no compiled kernel on this host")
+    return kernel.gcdsum_table_sum
+
+
+def _record_folds(monkeypatch):
+    """The list that gets (n, d1) for each s_identity call that folds the
+    d >= d1, d1 <= isqrt(n), on the path that runs: gcdsum_table_sum where
+    the library loads, _folded_tail elsewhere."""
+    folds = []
+    kernel = summatory._compiled_kernel()
+    if kernel is None:
+        fold = gcd_sum._folded_tail
+
+        def record_fold(prefix, n, d1):
+            folds.append((n, d1))
+            return fold(prefix, n, d1)
+
+        monkeypatch.setattr(gcd_sum, "_folded_tail", record_fold)
+    else:
+        def record_table_sum(n, d0, d1, address):
+            if d1 <= math.isqrt(n):
+                folds.append((n, d1))
+            return kernel.gcdsum_table_sum(n, d0, d1, address)
+
+        recording = types.SimpleNamespace(gcdsum_floor_sum=kernel.gcdsum_floor_sum,
+                                          gcdsum_divisor_prefix=kernel.gcdsum_divisor_prefix,
+                                          gcdsum_table_sum=record_table_sum)
+        monkeypatch.setattr(summatory, "_compiled_kernel", lambda: recording)
+    return folds
+
+
 def test_batched_halves_start_where_the_gather_needs_two_chunks(monkeypatch, traced_identity):
     # below the first N whose gather of d >= d0 exceeds CHUNK terms, the table
     # half is one gather; from it on, the d >= d1 are folded.  Either way every
     # large term goes through divisor_summatory_batch, in order of d
     k = next(k for k in itertools.count(CHUNK)
              if k - math.isqrt(k * k // (TABLE_CAP + 1)) > CHUNK)
-    folds = []
-    fold = gcd_sum._folded_tail
-
-    def record_fold(prefix, n, d1):
-        folds.append((n, d1))
-        return fold(prefix, n, d1)
-
-    monkeypatch.setattr(gcd_sum, "_folded_tail", record_fold)
-    for n in (TABLE_CAP, 10**6, 10**8, k * k - 1, k * k, k * k + 1):
+    ns = (TABLE_CAP, 10**6, 10**8, k * k - 1, k * k, k * k + 1)
+    expected = {n: s_lemma1(n) for n in ns}
+    folds = _record_folds(monkeypatch)
+    for n in ns:
         folds.clear()
         value, large = traced_identity(n)
-        assert value == s_lemma1(n), n
+        assert value == expected[n], n
         assert large == _large_terms(n, TABLE_CAP), n
         if n < k * k:
             assert folds == [], n
@@ -298,8 +336,10 @@ def test_batched_halves_start_where_the_gather_needs_two_chunks(monkeypatch, tra
 
 @pytest.mark.parametrize("cap", [10, 100, 1000])
 def test_folded_tail_matches_the_gather_for_every_d1(monkeypatch, cap):
+    # and gcdsum_table_sum(n, d0, d1) matches the gather of every d >= d0
+    kernel = summatory._compiled_kernel()
     limit = _set_table_cap(monkeypatch, cap)
-    prefix = gcd_sum._table_prefix(limit)
+    prefix, address = gcd_sum._table_prefix(limit)
     for n in range(1, 3001):
         r = math.isqrt(n)
         d0 = math.isqrt(n // (limit + 1)) + 1
@@ -308,6 +348,63 @@ def test_folded_tail_matches_the_gather_for_every_d1(monkeypatch, cap):
         tail = list(itertools.accumulate(reversed(terms), initial=0))[::-1]
         for d1 in range(d0, r + 2):
             assert gcd_sum._folded_tail(prefix, n, d1) == tail[d1 - d0], (n, d1)
+            if kernel is not None:
+                assert kernel.gcdsum_table_sum(n, d0, d1, address) == tail[0], (n, d1)
+
+
+# the N >= 8 * 10^14 nearest to it whose table half has the most terms to
+# gather, 38836; 909 more N in [7.8 * 10^14, 8.3 * 10^14] have as many
+LONGEST_GATHER_N = 800005960405842
+
+
+def _split(n, limit=TABLE_CAP):
+    """s_identity's d0 and d1 at n."""
+    d0 = math.isqrt(n // (limit + 1)) + 1
+    end = math.isqrt(n) + 1
+    return d0, end if end - d0 <= CHUNK else min(max(int((2 * n) ** (1 / 3)), d0), end)
+
+
+def test_compiled_table_sum_at_its_isqrt_edges():
+    # N = k^2 - 1, k^2, k^2 + 1 about 2^52 and 2^53, where N stops being an
+    # exact double, and at isqrt(MAX_X), as in
+    # test_vectorized_isqrt_matches_math_isqrt: the fold's m = 1 term takes
+    # isqrt(N) itself.  Each N is folded from s_identity's d1 and from d0
+    table_sum = _compiled_table_sum()
+    prefix, address = gcd_sum._table_prefix(TABLE_CAP)
+    ks = [2**26 + e for e in (-2, -1, 0, 1, 2)] + [94906265 + e for e in (-2, -1, 0, 1, 2)]
+    ks.append(math.isqrt(MAX_X))
+    for n in (v for k in ks for v in (k * k - 1, k * k, k * k + 1) if v <= MAX_X):
+        d0, d1 = _split(n)
+        for d in (d0, d0 + 1, d1):
+            assert table_sum(n, d0, d, address) == _table_half(prefix, n, d0, d), (n, d)
+
+
+def test_compiled_table_sum_at_the_longest_gather(monkeypatch):
+    table_sum = _compiled_table_sum()
+    prefix, address = gcd_sum._table_prefix(TABLE_CAP)
+    n = LONGEST_GATHER_N
+    d0, d1 = _split(n)
+    assert d1 - d0 == 38836
+    assert table_sum(n, d0, d1, address) == _table_half(prefix, n, d0, d1)
+    compiled = s_identity(n)
+    monkeypatch.setattr(summatory, "_compiled_kernel", lambda: None)
+    assert s_identity(n) == compiled
+
+
+def test_identity_reads_no_freed_table_after_a_cache_clear(monkeypatch):
+    # the address that gcdsum_table_sum reads lives in the table's own cache
+    # entry, so no address can outlive the array it points into
+    expected = s_upto(3000)[1:].tolist()
+    caps = (1000, 100, 1000, TABLE_CAP)
+    junk = []
+    for cap in caps:
+        gcd_sum._build_table_prefix.cache_clear()
+        gc.collect()
+        # blocks of every table's size, kept to the end, to be handed out in
+        # place of the freed tables
+        junk += [np.full(c + 1, -1, dtype=np.int64) for c in caps for _ in range(2)]
+        _set_table_cap(monkeypatch, cap)
+        assert [s_identity(n) for n in range(1, 3001)] == expected, cap
 
 
 @pytest.fixture(scope="module")
@@ -338,7 +435,7 @@ def test_identity_builds_one_table_per_process(table_builds):
         assert s_identity(n) == s_lemma1(n), n
     assert s_identity(10**12) == FROZEN_S[10**12]
     assert table_builds == [TABLE_CAP]
-    assert len(gcd_sum._table_prefix(TABLE_CAP)) == TABLE_CAP + 1
+    assert len(gcd_sum._table_prefix(TABLE_CAP)[0]) == TABLE_CAP + 1
 
 
 def test_identity_table_follows_the_table_cap(table_builds, monkeypatch):
@@ -357,12 +454,13 @@ def test_identity_table_is_the_sieve_prefix_on_a_cold_cache(cold_table, monkeypa
     # built by the kernel that runs the test: the C sieve, or the NumPy one
     limit = _set_table_cap(monkeypatch, cap)
     s_identity(10**6)
-    assert gcd_sum._table_prefix(limit).tolist() == np.cumsum(sieve_tau(limit)).tolist()
+    assert gcd_sum._table_prefix(limit)[0].tolist() == np.cumsum(sieve_tau(limit)).tolist()
 
 
 def test_identity_table_is_read_only(cold_table):
     s_identity(10)
-    prefix = gcd_sum._table_prefix(TABLE_CAP)
+    prefix, address = gcd_sum._table_prefix(TABLE_CAP)
+    assert address == prefix.ctypes.data
     assert not prefix.flags.writeable
     with pytest.raises(ValueError):
         prefix[5] = 0

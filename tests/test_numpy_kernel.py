@@ -1,14 +1,15 @@
 """The floor-sum and lemma1 tests, run again without the compiled library.
 
-floor_sum, divisor_prefix and s_lemma1 run the compiled library wherever
-it loads, so the tests of test_summatory.py and the frozen-value, table,
-lemma1 and thread stress tests of test_gcd_sum.py check that library under
-their own names.  Imported here, they are collected a second time, and the
-autouse fixture below sends every call in them to the NumPy kernel and to
-s_lemma1's Python sum, as on a host where no compiled library loads.  It
-also empties s_identity's table cache, so that each test builds its own
-divisor table with np.cumsum(sieve_tau(limit)) instead of reading the one
-the compiled sieve built.
+floor_sum, divisor_prefix, s_lemma1 and s_identity's table half run the
+compiled library wherever it loads, so the tests of test_summatory.py and
+the frozen-value, table, fold, lemma1 and thread stress tests of
+test_gcd_sum.py check that library under their own names.  Imported here,
+they are collected a second time, and the autouse fixture below sends
+every call in them to the NumPy kernel, to s_lemma1's Python sum and to
+s_identity's NumPy gather and fold, as on a host where no compiled library
+loads.  It also empties s_identity's table cache, so that each test builds
+its own divisor table with np.cumsum(sieve_tau(limit)) instead of reading
+the one the compiled sieve built.
 """
 
 import pytest
@@ -20,6 +21,7 @@ from test_gcd_sum import (
     cold_memo,
     cold_table,
     table_builds,
+    test_batched_halves_start_where_the_gather_needs_two_chunks,
     test_identity_at_frozen_values_confirmed_by_lemma1,
     test_identity_matches_s_upto_where_d0_steps_at_the_table_cap,
     test_identity_table_is_the_sieve_prefix_on_a_cold_cache,
@@ -31,6 +33,7 @@ from test_gcd_sum import (
     test_lemma1_matches_the_oracle_to_20000,
     test_lemma1_next_to_10_to_the_12,
     test_lemma1_threads_on_a_cold_memo,
+    traced_identity,
 )
 from test_summatory import (
     test_divisor_summatory_across_recip_x,

@@ -79,17 +79,35 @@
 
    gcdsum_lemma1 returns S(n) = sum_{d=1..end} lattice_count(n / d^2) for
    1 <= n <= MAX_X and end = isqrt(n), which the caller passes: the sum of
-   gcd_sum.s_lemma1.  lattice_count(m) is summatory._lattice_count's
-   unfolded walk over the blocks of r that share one quotient q = m / r,
-   each settled as q (m / q - r + 1).  It shares no math with
-   gcd_sum.s_identity: integer division only, no floats, reciprocals,
-   divisor table or folding.  Its bounds: a block adds at most m, and a
-   count is D(m) <= m (1 + ln m) <= 2^63 - 1 for m <= MAX_X, so no count
-   wraps.  The sum is at most sum_d (n / d^2)(1 + ln n) <= zeta(2) (2^63 -
-   1) < 2^64, so one uint64 holds it with no carry.  It can exceed 2^63,
-   as S(MAX_X) = 14436324993676221952 does, so the caller reads it
-   unsigned.  Scalar integer code too, not cloned; it allocates nothing and
-   cannot fail.
+   gcd_sum.s_lemma1.  lattice_count(m) = sum_{r=1..m} m / r, the points
+   r s <= m, walks the blocks of r that share one quotient, as
+   summatory._lattice_count does, in two phases that each cost one division
+   per block, and no division waits on the one before:
+
+   - Phase 1 adds q = m / r one r at a time while q (r + 1) > m, that is
+     while the block of r is {r}.  Adding m / r is right for any r, so
+     leaving this phase early would still give the right count, only
+     slowly: phase 2 would then step q down from m through empty blocks.
+     No value test can tell.  q (r + 1) <= m + q < 2^64.
+   - Phase 2 starts at the first r with q (r + 1) <= m, so r starts the
+     block of q.  There m / r - 1 < q <= m / (r + 1), so r (r + 1) > m,
+     r > sqrt(m) - 1 and q < sqrt(m), hence q (q - 1) <= m.  Given
+     q (q - 1) <= m, the block after [r, m / q] has quotient exactly q - 1:
+     its first r' = m / q + 1 exceeds m / q over the reals, so
+     m / r' <= q - 1, and over the reals
+     (q - 1) r' <= (q - 1)(m / q + 1) = m - m / q + q - 1 <= m.  So the
+     quotients run q, q - 1, ..., 1, the last block, of q = 1, ends at m,
+     no block is empty, and each block is settled as q (m / q - r + 1)
+     with the one division m / q.
+
+   It shares no math with gcd_sum.s_identity: integer division only, no
+   floats, square roots, reciprocals, divisor table or folding.  Its
+   bounds: a block adds at most m, and a count is D(m) <= m (1 + ln m) <=
+   2^63 - 1 for m <= MAX_X, so no count wraps.  The sum is at most
+   sum_d (n / d^2)(1 + ln n) <= zeta(2) (2^63 - 1) < 2^64, so one uint64
+   holds it with no carry.  It can exceed 2^63, as S(MAX_X) =
+   14436324993676221952 does, so the caller reads it unsigned.  Scalar
+   integer code too, not cloned; it allocates nothing and cannot fail.
 
    gcdsum_table_sum returns the table half of s_identity(n): with d0 =
    isqrt(n / (L + 1)) + 1, where L + 1 is the length of prefix = D(0..L),
@@ -261,14 +279,16 @@ void gcdsum_divisor_prefix(int64_t limit, int64_t *out)
     }
 }
 
-/* sum_{r=1..m} m / r: the points r s <= m, a block of r with one quotient at a time */
+/* sum_{r=1..m} m / r: the points r s <= m, by the two phases of the header */
 static uint64_t lattice_count(uint64_t m)
 {
-    uint64_t total = 0;
-    for (uint64_t r = 1, q, hi; r <= m; r = hi + 1) {
-        q = m / r;
-        hi = m / q;
+    uint64_t total = 0, r = 1, q = m;
+    for (; q * (r + 1) > m; q = m / ++r) /* the block of r is {r} */
+        total += q;
+    for (; q > 0; q--) { /* the blocks of quotient q, q - 1, ..., 1 */
+        uint64_t hi = m / q;
         total += q * (hi - r + 1);
+        r = hi + 1;
     }
     return total;
 }

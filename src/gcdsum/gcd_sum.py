@@ -13,10 +13,11 @@ lemma1    classifies pairs by their common divisors: tau(gcd(a, b)) is the
               S(N) = sum_{d <= sqrt(N)} lattice_count(floor(N / d^2)).
 
           The whole sum is one call of the compiled library's
-          gcdsum_lemma1, integer division only, wherever the library
-          loads; elsewhere it runs in Python, one memoized lattice_count
-          per d.  It shares no code with identity but the library's
-          build and load.
+          gcdsum_lemma1, integer division only, one division per block
+          of r that shares a quotient, wherever the library loads;
+          elsewhere it runs in Python, one memoized lattice_count per d.
+          It shares no code with identity but the library's build and
+          load.
 
 identity  folds the same inner count into the divisor summatory function,
 
@@ -44,11 +45,12 @@ identity  folds the same inner count into the divisor summatory function,
           not pay, so d1 = sqrt(N) + 1 and nothing is folded; for N <= L,
           d0 = 1 and S(N) is the gather alone.  The table, 1 MB, is built
           on the first call and kept for the life of the process; every
-          later call only reads it.  summatory.divisor_prefix builds it:
-          the compiled library's segmented divisor sieve, which writes
-          D(0..L) in one pass, or np.cumsum of sieve_tau's sieve where the
-          library does not load.  So the first call in a process loads,
-          or on an empty cache compiles, the library even for N <= L.  A
+          later call only reads it, and takes no lock to do so.
+          summatory.divisor_prefix builds it: the compiled library's
+          segmented divisor sieve, which writes D(0..L) in one pass, or
+          np.cumsum of sieve_tau's sieve where the library does not
+          load.  So the first call in a process loads, or on an empty
+          cache compiles, the library even for N <= L.  A
           call costs about sqrt(N) log(d0) exact floor quotients, taken by
           summatory's floor-sum kernels, and fewer than 2 N^(1/3) table
           reads in place of sqrt(N).  At N = 10^12 that is 2762 large terms in one block,
@@ -67,7 +69,6 @@ prime sieve gives f(1..m) and a running sum gives S(0..m).
 """
 
 import enum
-import functools
 import math
 import threading
 
@@ -75,7 +76,7 @@ import numpy as np
 
 from . import summatory
 from .arith import check_natural, check_sieve_limit, sieve_tau
-from .summatory import CHUNK, _check_domain, _isqrt, divisor_prefix
+from .summatory import CHUNK, MAX_X, _check_domain, _isqrt, divisor_prefix
 
 # lemma1 and identity check N once and then call the unchecked kernels.  They
 # are bound under the public names, so a wrapper on this module sees each call
@@ -102,14 +103,17 @@ def check_argument(n: int, algorithm: Algorithm) -> None:
     Every evaluator starts with this check.  brute takes 1 <= N <=
     DEFAULT_BRUTE_CAP; lemma1 and identity take 1 <= N <= MAX_X, so that
     every floor(N / d^2) is in the kernels' domain.  N is checked to be a
-    natural once, by check_natural or by _check_domain, which calls it.
+    natural once, by check_natural, and then compared with the cap of its
+    algorithm; an N above MAX_X is refused with _check_domain's message.
     """
-    brute = algorithm is Algorithm.BRUTE
-    (check_natural if brute else _check_domain)(n, "N")
+    check_natural(n, "N")
     if n == 0:
         raise ValueError("S(N) requires N >= 1")
-    if brute and n > DEFAULT_BRUTE_CAP:
-        raise ValueError(f"N={n} exceeds the brute-force cap of {DEFAULT_BRUTE_CAP}")
+    if algorithm is Algorithm.BRUTE:
+        if n > DEFAULT_BRUTE_CAP:
+            raise ValueError(f"N={n} exceeds the brute-force cap of {DEFAULT_BRUTE_CAP}")
+    elif n > MAX_X:
+        _check_domain(n, "N")
 
 
 def s_brute(n: int) -> int:
@@ -149,23 +153,18 @@ def s_lemma1(n: int) -> int:
 
 
 _TABLE_LOCK = threading.Lock()
+# limit -> (prefix, address), filled by _table_prefix; _TABLES.clear() empties
+# it, so that the next call builds again
+_TABLES = {}
 
 
 def _table_prefix(limit: int) -> tuple[np.ndarray, int]:
-    """The read-only prefix sums of tau up to limit, built once per limit,
-    and the address of their data.
+    """D(0..limit) from divisor_prefix(limit), read-only and built once per
+    limit, and the address of its data for gcdsum_table_sum.
 
-    The lock makes threads that start on a cold cache wait for one build
-    instead of each building its own.
-    """
-    with _TABLE_LOCK:
-        return _build_table_prefix(limit)
-
-
-@functools.lru_cache(maxsize=4)
-def _build_table_prefix(limit: int) -> tuple[np.ndarray, int]:
-    """D(0..limit) from divisor_prefix(limit), and the address of its data
-    for gcdsum_table_sum; call it through _table_prefix.
+    A warm call reads _TABLES without a lock.  A cold one takes the lock and
+    looks again under it, so threads that start on a cold cache wait for one
+    build instead of each building its own.
 
     Reading prefix.ctypes.data costs more than the C call, so it is read
     once per table.  The address is kept in the same cache entry as the
@@ -179,9 +178,13 @@ def _build_table_prefix(limit: int) -> tuple[np.ndarray, int]:
     kernel lock inside the table lock; nothing takes the two in the other
     order.
     """
-    prefix = divisor_prefix(limit)
-    prefix.flags.writeable = False
-    return prefix, prefix.ctypes.data
+    if limit not in _TABLES:
+        with _TABLE_LOCK:
+            if limit not in _TABLES:
+                prefix = divisor_prefix(limit)
+                prefix.flags.writeable = False
+                _TABLES[limit] = prefix, prefix.ctypes.data
+    return _TABLES[limit]
 
 
 def _folded_tail(prefix: np.ndarray, n: int, d1: int) -> int:

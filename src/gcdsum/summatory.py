@@ -14,10 +14,11 @@ whole chunks of CHUNK values of k, in one of two kernels.
 
 The compiled kernel, floor_sum.c, is built with the system C compiler on
 the first floor_sum, divisor_prefix, gcd_sum.s_lemma1 or gcd_sum.s_identity
-call in a process, cached per user and loaded with ctypes.  Its header
-gives the route that each row and chunk of k takes: int64 quotients,
-float64 quotients, or float64 products with reciprocals r_k that are
-rounded up a little, and the proof of those products.
+call in a process, cached per user and loaded with ctypes; every later
+call finds it loaded without taking a lock.  Its header gives the route
+that each row and chunk of k takes: int64 quotients, float64 quotients,
+or float64 products with reciprocals r_k that are rounded up a little,
+and the proof of those products.
 RECIP_X = 818836295885544, about 2^50 / 1.375, the x below which the
 products are exact, is derived from that proof.
 
@@ -36,7 +37,10 @@ instead, batching the O(sqrt M) maximal ranges of r over which the
 quotient floor(M/r) is constant.  The two routines are deliberately
 independent implementations of the same quantity so they can
 cross-validate each other.  The library's gcdsum_lemma1 walks the same
-blocks in C for every floor(N / d^2) of s_lemma1(N) in one call.  Where no
+blocks in C for every floor(N / d^2) of s_lemma1(N) in one call, with one
+division per block: it adds the quotient of each r alone while the block
+of r is {r}, and then steps the quotient down by one per block, which
+floor_sum.c's header proves visits every block once.  Where no
 library loads, s_lemma1 calls _lattice_count instead, which keeps its last
 128 counts: floor(N / d^2) repeats over runs of consecutive d once
 d > N^(1/3) and, in a sweep over N, stays the same for d^2 consecutive N,
@@ -114,6 +118,9 @@ _CFLAGS = ("-O3", "-shared", "-fPIC", "-ffp-contract=off", "-fno-trapping-math",
            "-fopenmp-simd", f"-DCHUNK={CHUNK}", f"-DRECIP_X={RECIP_X}")
 _COMPILERS = ("cc", "gcc")
 _KERNEL_LOCK = threading.Lock()
+# [the library, or None], once _compiled_kernel has run; _KERNEL.clear()
+# empties it, so that the next call builds and loads again
+_KERNEL = []
 
 
 def _compiled_kernel():
@@ -121,11 +128,16 @@ def _compiled_kernel():
     s_identity's table half run NumPy and s_lemma1 sums its lattice counts in
     Python.
 
-    It is built and loaded on the first call in a process.  The lock makes
-    threads that start on a cold cache wait for one build.
+    It is built and loaded on the first call in a process and kept in
+    _KERNEL.  A warm call reads _KERNEL without a lock.  A cold one takes
+    the lock and looks again under it, so threads that start on a cold
+    cache wait for one build.
     """
-    with _KERNEL_LOCK:
-        return _load_kernel()
+    if not _KERNEL:
+        with _KERNEL_LOCK:
+            if not _KERNEL:
+                _KERNEL.append(_load_kernel())
+    return _KERNEL[0]
 
 
 def _private_dir(path: Path) -> Path:
@@ -148,7 +160,6 @@ def _cache_dir() -> Path:
         return _private_dir(Path(tempfile.gettempdir()) / f"gcdsum-{os.getuid()}")
 
 
-@functools.cache
 def _load_kernel():
     """Build floor_sum.c into the cache unless it is there, and load it.
 

@@ -212,7 +212,7 @@ def test_out_of_memory_is_one_error_line(monkeypatch, capsys):
         raise MemoryError(f"Unable to allocate an array with shape ({limit + 1},)")
 
     # a failed build leaves the table cache empty
-    gcdsum.gcd_sum._build_table_prefix.cache_clear()
+    gcdsum.gcd_sum._TABLES.clear()
     monkeypatch.setattr(gcdsum.gcd_sum, "divisor_prefix", no_memory)
     assert run(["exact", "10"]) == 1
     captured = capsys.readouterr()

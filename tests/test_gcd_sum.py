@@ -161,9 +161,9 @@ def test_identity_matches_s_upto_where_d0_steps_at_the_table_cap(lo, hi):
 @pytest.fixture
 def cold_table():
     """Empty s_identity's table cache before and after the test."""
-    gcd_sum._build_table_prefix.cache_clear()
+    gcd_sum._TABLES.clear()
     yield
-    gcd_sum._build_table_prefix.cache_clear()
+    gcd_sum._TABLES.clear()
 
 
 @pytest.fixture
@@ -398,7 +398,7 @@ def test_identity_reads_no_freed_table_after_a_cache_clear(monkeypatch):
     caps = (1000, 100, 1000, TABLE_CAP)
     junk = []
     for cap in caps:
-        gcd_sum._build_table_prefix.cache_clear()
+        gcd_sum._TABLES.clear()
         gc.collect()
         # blocks of every table's size, kept to the end, to be handed out in
         # place of the freed tables
@@ -490,8 +490,8 @@ def test_identity_threads_on_a_cold_table(table_builds):
     sys.setswitchinterval(1e-6)
     try:
         for trial in range(10):
-            gcd_sum._build_table_prefix.cache_clear()
-            summatory._load_kernel.cache_clear()
+            gcd_sum._TABLES.clear()
+            summatory._KERNEL.clear()
             table_builds.clear()
             results = [None] * len(ns)
             lemma1_results = [None] * len(lemma1_ns)
@@ -519,6 +519,27 @@ def test_identity_threads_on_a_cold_table(table_builds):
             assert table_builds == [TABLE_CAP], trial
     finally:
         sys.setswitchinterval(interval)
+
+
+class _Untakeable:
+    """A lock that fails any test which takes it."""
+
+    def __enter__(self):
+        raise AssertionError("a warm call took a lock")
+
+    def __exit__(self, *exc):
+        return False
+
+
+def test_warm_evaluator_calls_take_no_lock(monkeypatch):
+    # once the library is loaded and the table built, s_identity and s_lemma1
+    # read both caches without their locks
+    expected = s_upto(1500)[1500]
+    assert s_identity(1500) == s_lemma1(1500) == expected
+    monkeypatch.setattr(summatory, "_KERNEL_LOCK", _Untakeable())
+    monkeypatch.setattr(gcd_sum, "_TABLE_LOCK", _Untakeable())
+    assert s_identity(1500) == expected
+    assert s_lemma1(1500) == expected
 
 
 @pytest.fixture
@@ -604,17 +625,52 @@ def test_lemma1_next_to_10_to_the_12():
         assert s_lemma1(n) == lemma1_in_python(n), n
 
 
-def test_compiled_lemma1_sum_past_2_to_the_63_reads_unsigned():
-    # S(N) passes 2^63 below MAX_X, and only the offline run of s_lemma1(MAX_X)
-    # reaches it; the library's two largest counts there, D(MAX_X) and
-    # D(MAX_X / 4), already sum past it (15-18 s on a 2-core Xeon).  The
-    # NumPy kernel's test file does not import this test
+def _compiled_lemma1():
+    """gcdsum_lemma1, or a skip where the library does not load."""
     kernel = summatory._compiled_kernel()
     if kernel is None:
         pytest.skip("no compiled kernel on this host")
+    return kernel.gcdsum_lemma1
+
+
+def test_compiled_lattice_count_matches_the_python_walk_to_20000():
+    # gcdsum_lemma1(m, 1) is one lattice_count(m): both of its phases, and
+    # the step between them, at every small m
+    lemma1 = _compiled_lemma1()
+    lattice = summatory._lattice_count.__wrapped__
+    assert [lemma1(m, 1) for m in range(1, 20001)] == [lattice(m) for m in range(1, 20001)]
+
+
+def test_compiled_lattice_count_at_squares_and_pronic_numbers():
+    # the walk leaves its one-r blocks where r (r + 1) first exceeds m, so
+    # it steps at m = k^2 and k (k + 1); 2^26 and 94906265 bracket m = 2^52
+    # and 2^53.  Past 2^40 the Python walk is too slow, and the folded
+    # divisor_summatory, which shares no walk with it, is the reference
+    lemma1 = _compiled_lemma1()
+    ks = [*range(2, 301), 2**16, 2**26, 94906265]
+    for m in sorted({b + e for k in ks for b in (k * k, k * (k + 1)) for e in (-1, 0, 1)}):
+        expected = summatory._lattice_count.__wrapped__(m) if m < 2**40 else divisor_summatory(m)
+        assert lemma1(m, 1) == expected, m
+
+
+def test_compiled_lattice_count_at_the_top_of_the_domain():
+    # the largest squares the walk takes, isqrt(MAX_X)^2 +- 1; its count at
+    # MAX_X itself is checked by the next test
+    lemma1 = _compiled_lemma1()
+    k = math.isqrt(MAX_X)
+    for m in (k * k - 1, k * k + 1):
+        assert lemma1(m, 1) == divisor_summatory(m), m
+
+
+def test_compiled_lemma1_sum_past_2_to_the_63_reads_unsigned():
+    # S(N) passes 2^63 below MAX_X, and only the offline run of s_lemma1(MAX_X)
+    # reaches it; the library's two largest counts there, D(MAX_X) and
+    # D(MAX_X / 4), already sum past it (about 7 s on a 2-core Xeon).  The
+    # NumPy kernel's test file does not import this test
+    lemma1 = _compiled_lemma1()
     value = divisor_summatory(MAX_X) + divisor_summatory(MAX_X // 4)
     assert value > 2**63
-    assert kernel.gcdsum_lemma1(MAX_X, 2) == value
+    assert lemma1(MAX_X, 2) == value
 
 
 @pytest.mark.parametrize("evaluator", [s_lemma1, s_identity])
@@ -649,7 +705,8 @@ def test_evaluators_check_n_once_not_every_term(monkeypatch):
 
 @pytest.mark.parametrize("algorithm", list(Algorithm))
 def test_evaluators_check_n_is_natural_once(monkeypatch, algorithm):
-    # lemma1 and identity check it in summatory._check_domain, brute in gcd_sum
+    # check_argument checks it once for every algorithm, and lemma1 and
+    # identity then compare N with MAX_X without another check
     checks = []
     check = gcd_sum.check_natural
 

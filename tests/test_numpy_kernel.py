@@ -2,7 +2,7 @@
 
 floor_sum, divisor_prefix, s_lemma1 and s_identity's table half run the
 compiled library wherever it loads, so the tests of test_summatory.py and
-the frozen-value, table, fold, lemma1 and thread stress tests of
+the frozen-value, table, fold, lemma1, thread stress and no-lock tests of
 test_gcd_sum.py check that library under their own names.  Imported here,
 they are collected a second time, and the autouse fixture below sends
 every call in them to the NumPy kernel, to s_lemma1's Python sum and to
@@ -33,6 +33,7 @@ from test_gcd_sum import (
     test_lemma1_matches_the_oracle_to_20000,
     test_lemma1_next_to_10_to_the_12,
     test_lemma1_threads_on_a_cold_memo,
+    test_warm_evaluator_calls_take_no_lock,
     traced_identity,
 )
 from test_summatory import (

@@ -416,9 +416,9 @@ def test_divisor_summatory_batch_mixes_every_kind_of_row():
 def cold_kernel(monkeypatch, tmp_path):
     """An empty kernel cache in a fresh cache directory, for the test only."""
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
-    summatory._load_kernel.cache_clear()
+    summatory._KERNEL.clear()
     yield tmp_path / "gcdsum"
-    summatory._load_kernel.cache_clear()
+    summatory._KERNEL.clear()
 
 
 def _rows_1e14():

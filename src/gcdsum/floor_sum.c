@@ -1,12 +1,12 @@
-/* The compiled kernels of gcdsum.summatory.floor_sum and divisor_prefix, the
-   lattice-count sum of gcdsum.gcd_sum.s_lemma1 and the table half of
-   gcdsum.gcd_sum.s_identity.
+/* The compiled kernels of gcdsum.summatory.floor_sum, the lattice-count sum
+   of gcdsum.gcd_sum.s_lemma1 and the table half of gcdsum.gcd_sum.s_identity,
+   with the divisor table that the table half reads.
 
    gcdsum_floor_sum writes out[i] = sum_{k=1..r_i} x_i // k for every row
    of a non-increasing batch with 0 <= x_i <= MAX_X; the Python caller adds
-   the rows as Python ints.  CHUNK and RECIP_X come from summatory._CFLAGS
-   as -D constants.  Every row sums its chunks of CHUNK values of k by one
-   of two rules:
+   the rows as Python ints.  CHUNK, RECIP_X and TABLE_CAP come from
+   summatory._CFLAGS as -D constants.  Every row sums its chunks of CHUNK
+   values of k by one of two rules:
 
    - Each row at or above RECIP_X, a prefix of the batch and at most 16
      rows of any S(N), is summed alone, chunk by chunk: x_i / k in int64
@@ -56,26 +56,25 @@
    gcdsum_floor_sum returns 0, or -1 when the buffer of a later chunk's
    reciprocals cannot be allocated.
 
-   gcdsum_divisor_prefix writes out[n] = D(n) = sum_{m<=n} tau(m) for
-   0 <= n <= limit: the divisor table of gcd_sum.s_identity.  Its rule:
-   each m >= 1 has one divisor pair (a, b) with ab = m and a <= b per
-   divisor a <= sqrt(m), which adds 2 to tau(m), or 1 when a = b.  So each
-   a <= isqrt(limit) adds 2 at its multiples from a^2 on and takes 1 back
-   at a^2.  The n run in segments [lo, hi) of SEGMENT entries, in order,
-   and no state passes from one segment to the next: a segment marks the
-   multiples below hi of every a with a^2 < hi, from a^2 when a^2 >= lo,
-   and otherwise from the least multiple of a at or above lo.  So each
-   pair is marked once, in the segment that holds its product, and a
-   finished segment holds tau(lo..hi-1), which is added onto the running
-   sum in out.  A segment holds tau in int32: tau(m) <= 2 sqrt(m), as one
-   member of each divisor pair is at most sqrt(m), so tau(m) < 2^31 for
-   every m < 2^60; the running sums are int64, and D(n) <= n (1 + ln n).
-   The segment, 32 KB, is an array on the stack: each call, and so each
-   thread, gets its own, which stays in the L1 cache and costs no
-   allocation.  A static _Thread_local buffer of 128 KB made every later
-   gcdsum_floor_sum call about 3 us slower on a 2-core Xeon.  The sieve is
-   scalar integer code, so it is not cloned.  It allocates nothing and
-   cannot fail.
+   divisor_prefix writes prefix[n] = D(n) = sum_{m<=n} tau(m) for
+   0 <= n <= TABLE_CAP, the divisor table of gcdsum_table_sum, in the
+   constructor that builds the reciprocal table: about 1 ms, paid once when
+   the library loads, and never written again.  Its rule: each m >= 1 has
+   one divisor pair (a, b) with ab = m and a <= b per divisor a <= sqrt(m),
+   which adds 2 to tau(m), or 1 when a = b.  So each a <= isqrt(TABLE_CAP)
+   adds 2 at its multiples from a^2 on and takes 1 back at a^2.  The n run
+   in segments [lo, hi) of SEGMENT entries, in order, and no state passes
+   from one segment to the next: a segment marks the multiples below hi of
+   every a with a^2 < hi, from a^2 when a^2 >= lo, and otherwise from the
+   least multiple of a at or above lo.  So each pair is marked once, in
+   the segment that holds its product, and a finished segment holds
+   tau(lo..hi-1), which is added onto the running sum in prefix.  A segment
+   holds tau in int32: tau(m) <= 2 sqrt(m), as one member of each divisor
+   pair is at most sqrt(m), so tau(m) < 2^31 for every m < 2^60; the
+   running sums are int64, and D(n) <= n (1 + ln n).
+   The segment, 32 KB, is an array on the stack, which stays in the L1
+   cache.  The sieve is scalar integer code, so it is not cloned.  It
+   allocates nothing and cannot fail.
 
    gcdsum_lemma1 returns S(n) = sum_{d=1..end} lattice_count(n / d^2) for
    1 <= n <= MAX_X and end = isqrt(n), which the caller passes: the sum of
@@ -110,21 +109,23 @@
    integer code too, not cloned; it allocates nothing and cannot fail.
 
    gcdsum_table_sum returns the table half of s_identity(n): with d0 =
-   isqrt(n / (L + 1)) + 1, where L + 1 is the length of prefix = D(0..L),
-   and d0 <= d1 <= isqrt(n) + 1, it is
+   isqrt(n / (L + 1)) + 1 for the caller's table limit L <= TABLE_CAP, and
+   d0 <= d1 <= isqrt(n) + 1, it is
    sum_{d0 <= d < d1} prefix[n / d^2] plus the fold of every d >= d1,
    sum_{m <= n / d1^2} tau(m) (isqrt(n / m) - d1 + 1) with
    tau(m) = prefix[m] - prefix[m - 1]: s_identity's NumPy gather and
    gcd_sum._folded_tail, whose docstring derives the fold, in one call.
-   d >= d0 keeps every n / d^2, and every m, inside the table.  Its isqrt
+   It requires n / d0^2 <= TABLE_CAP, which that d0 gives: then every
+   n / d^2 with d >= d0, and every m, is inside the table.  Its isqrt
    is summatory._isqrt in scalar form: the truncated sqrt((double)q) of
    q = n / m <= MAX_X is isqrt(q) or isqrt(q) + 1, by _isqrt's proof, so
    one downward correction makes it exact, and s^2 is far below 2^63.
    The gather adds at most (d1 - d0) D(L) and the fold at most
    isqrt(n) D(L), as it equals the gather over d1 <= d <= isqrt(n), so the
    sum is at most (d1 - d0 + isqrt(n)) D(L) <= 2 isqrt(n) D(L)
-   < 2^30 * 2^21 for n <= MAX_X and L = 2^17, far below 2^63.  Scalar
-   integer code, not cloned; it allocates nothing and cannot fail. */
+   < 2^30 * 2^21 for n <= MAX_X and L <= TABLE_CAP = 2^17, far below
+   2^63.  Scalar integer code, not cloned; it allocates nothing and cannot
+   fail. */
 
 #include <math.h>
 #include <stdint.h>
@@ -148,11 +149,40 @@ static inline void reciprocals(double *recip, double lo, int n)
 
 /* r_1, ..., r_CHUNK */
 static double table[CHUNK];
+/* D(0), ..., D(TABLE_CAP) */
+static int64_t prefix[TABLE_CAP + 1];
+
+/* the entries of one segment of divisor_prefix's sieve, 32 KB in int32 */
+#define SEGMENT (1 << 13)
+
+static void divisor_prefix(void)
+{
+    int32_t seg[SEGMENT];
+    int64_t total = 0;
+    for (int64_t lo = 0; lo <= TABLE_CAP; lo += SEGMENT) {
+        int64_t hi = lo + SEGMENT <= TABLE_CAP + 1 ? lo + SEGMENT : TABLE_CAP + 1;
+        for (int64_t i = 0; i < hi - lo; i++)
+            seg[i] = 0;
+        /* the a with a^2 < hi, each from a^2 or its first multiple at or above lo */
+        for (int64_t a = 1; a * a < hi; a++) {
+            int64_t m = a * a;
+            if (m >= lo)
+                seg[m - lo] -= 1;
+            else
+                m = (lo + a - 1) / a * a;
+            for (; m < hi; m += a)
+                seg[m - lo] += 2;
+        }
+        for (int64_t i = 0; i < hi - lo; i++)
+            prefix[lo + i] = total += seg[i];
+    }
+}
 
 __attribute__((constructor))
-static void build_table(void)
+static void build_tables(void)
 {
     reciprocals(table, 1, CHUNK);
+    divisor_prefix();
 }
 
 /* sum_{j<n} floor(v * recip[j]) and sum_{j<n} floor(v / (klo + j)) */
@@ -253,32 +283,6 @@ int gcdsum_floor_sum(int64_t rows, const int64_t *x, const int64_t *r, int64_t *
     return 0;
 }
 
-/* the entries of one segment of gcdsum_divisor_prefix's sieve, 32 KB in int32 */
-#define SEGMENT (1 << 13)
-
-void gcdsum_divisor_prefix(int64_t limit, int64_t *out)
-{
-    int32_t seg[SEGMENT];
-    int64_t total = 0;
-    for (int64_t lo = 0; lo <= limit; lo += SEGMENT) {
-        int64_t hi = lo + SEGMENT <= limit + 1 ? lo + SEGMENT : limit + 1;
-        for (int64_t i = 0; i < hi - lo; i++)
-            seg[i] = 0;
-        /* the a with a^2 < hi, each from a^2 or its first multiple at or above lo */
-        for (int64_t a = 1; a * a < hi; a++) {
-            int64_t m = a * a;
-            if (m >= lo)
-                seg[m - lo] -= 1;
-            else
-                m = (lo + a - 1) / a * a;
-            for (; m < hi; m += a)
-                seg[m - lo] += 2;
-        }
-        for (int64_t i = 0; i < hi - lo; i++)
-            out[lo + i] = total += seg[i];
-    }
-}
-
 /* sum_{r=1..m} m / r: the points r s <= m, by the two phases of the header */
 static uint64_t lattice_count(uint64_t m)
 {
@@ -301,7 +305,7 @@ uint64_t gcdsum_lemma1(int64_t n, int64_t end)
     return total;
 }
 
-int64_t gcdsum_table_sum(int64_t n, int64_t d0, int64_t d1, const int64_t *prefix)
+int64_t gcdsum_table_sum(int64_t n, int64_t d0, int64_t d1)
 {
     int64_t total = 0;
     for (int64_t d = d0; d < d1; d++)

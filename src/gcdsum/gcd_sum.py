@@ -43,21 +43,22 @@ identity  folds the same inner count into the divisor summatory function,
           NumPy gather and _folded_tail elsewhere.  While the table half
           has at most CHUNK terms (N below about 2.7 * 10^8) the fold does
           not pay, so d1 = sqrt(N) + 1 and nothing is folded; for N <= L,
-          d0 = 1 and S(N) is the gather alone.  The table, 1 MB, is built
-          on the first call and kept for the life of the process; every
-          later call only reads it, and takes no lock to do so.
-          summatory.divisor_prefix builds it: the compiled library's
-          segmented divisor sieve, which writes D(0..L) in one pass, or
-          np.cumsum of sieve_tau's sieve where the library does not
-          load.  So the first call in a process loads, or on an empty
-          cache compiles, the library even for N <= L.  A
-          call costs about sqrt(N) log(d0) exact floor quotients, taken by
-          summatory's floor-sum kernels, and fewer than 2 N^(1/3) table
-          reads in place of sqrt(N).  At N = 10^12 that is 2762 large terms in one block,
+          d0 = 1 and S(N) is the gather alone.  The table, 1 MB, holds
+          D(0..summatory.TABLE_CAP), the TABLE_CAP this module imports: the
+          compiled library sieves it into a static array of its own when
+          it loads, and gcdsum_table_sum reads it there, so no table or
+          address passes through ctypes.  Where the library does not load,
+          _table_prefix builds it once, as np.cumsum of sieve_tau's sieve.
+          So the first call in a process loads, or on an empty cache
+          compiles, the library even for N <= L.  A call costs about
+          sqrt(N) log(d0) exact floor quotients, taken by summatory's
+          floor-sum kernels, and fewer than 2 N^(1/3) table reads in place
+          of sqrt(N).  At N = 10^12 that is 2762 large terms in one block,
           8.5 million quotients and 16000 table reads.
-          Any L >= 1 and any d1 in [d0, sqrt(N) + 1] give the same
-          integer; they only move the cost between the ranges.  s_identity
-          reads TABLE_CAP at call time, so the tests lower L by patching it.
+          Any L in [1, TABLE_CAP] and any d1 in [d0, sqrt(N) + 1] give the
+          same integer; they only move the cost between the ranges.
+          s_identity reads TABLE_CAP at call time, so the tests lower L by
+          patching it; a lowered L reads a prefix of the same table.
 
 All three agree exactly wherever they are all defined; the test suite
 leans hard on that three-way agreement.
@@ -76,7 +77,7 @@ import numpy as np
 
 from . import summatory
 from .arith import check_natural, check_sieve_limit, sieve_tau
-from .summatory import CHUNK, MAX_X, _check_domain, _isqrt, divisor_prefix
+from .summatory import CHUNK, MAX_X, TABLE_CAP, _check_domain, _isqrt
 
 # lemma1 and identity check N once and then call the unchecked kernels.  They
 # are bound under the public names, so a wrapper on this module sees each call
@@ -86,7 +87,6 @@ from .summatory import _lattice_count as lattice_count
 from .summatory import divisor_summatory, divisor_summatory_batch
 
 DEFAULT_BRUTE_CAP = 10**7
-TABLE_CAP = 2**17
 
 
 class Algorithm(enum.Enum):
@@ -153,38 +153,29 @@ def s_lemma1(n: int) -> int:
 
 
 _TABLE_LOCK = threading.Lock()
-# limit -> (prefix, address), filled by _table_prefix; _TABLES.clear() empties
-# it, so that the next call builds again
-_TABLES = {}
+# [D(0..summatory.TABLE_CAP)] once _table_prefix has run; _TABLE.clear()
+# empties it, so that the next call builds again
+_TABLE = []
 
 
-def _table_prefix(limit: int) -> tuple[np.ndarray, int]:
-    """D(0..limit) from divisor_prefix(limit), read-only and built once per
-    limit, and the address of its data for gcdsum_table_sum.
+def _table_prefix() -> np.ndarray:
+    """D(0..summatory.TABLE_CAP), read-only: the NumPy fallback's divisor table.
 
-    A warm call reads _TABLES without a lock.  A cold one takes the lock and
-    looks again under it, so threads that start on a cold cache wait for one
-    build instead of each building its own.
-
-    Reading prefix.ctypes.data costs more than the C call, so it is read
-    once per table.  The address is kept in the same cache entry as the
-    array, which keeps the array alive as long as the address can be read.
-
-    s_identity passes TABLE_CAP, so a process builds one table, of
-    TABLE_CAP + 1 entries; the tests build one more for each TABLE_CAP they
-    patch in.  divisor_prefix is looked up as a module global at call
-    time, so a wrapper bound on this module sees the build.  On the first
-    build in a process it loads the compiled library, taking summatory's
-    kernel lock inside the table lock; nothing takes the two in the other
-    order.
+    np.cumsum of sieve_tau's sieve, which shares no code with the compiled
+    library's sieve.  It is built on the first call in a process and kept
+    in _TABLE; a lowered TABLE_CAP reads a prefix of it.  A warm call reads
+    _TABLE without a lock.  A cold one takes the lock and looks again under
+    it, so threads that start on a cold cache wait for one build instead of
+    each building its own.  sieve_tau is looked up as a module global at
+    call time, so a wrapper bound on this module sees the build.
     """
-    if limit not in _TABLES:
+    if not _TABLE:
         with _TABLE_LOCK:
-            if limit not in _TABLES:
-                prefix = divisor_prefix(limit)
+            if not _TABLE:
+                prefix = np.cumsum(sieve_tau(summatory.TABLE_CAP))
                 prefix.flags.writeable = False
-                _TABLES[limit] = prefix, prefix.ctypes.data
-    return _TABLES[limit]
+                _TABLE.append(prefix)
+    return _TABLE[0]
 
 
 def _folded_tail(prefix: np.ndarray, n: int, d1: int) -> int:
@@ -214,13 +205,13 @@ def s_identity(n: int) -> int:
     d >= d1 are folded.  While the table half has at most CHUNK terms,
     d1 = sqrt(N) + 1 and nothing is folded.  The table half is one call of
     the compiled library's gcdsum_table_sum wherever
-    summatory._compiled_kernel loads it, looked up at call time; elsewhere
-    it is one NumPy gather and _folded_tail, which the tests check the
+    summatory._compiled_kernel loads it, looked up at call time, which
+    reads the library's own table; elsewhere it is one NumPy gather and
+    _folded_tail over _table_prefix's table, which the tests check the
     library against.
     """
     check_argument(n, Algorithm.IDENTITY_SUMMATORY)
     limit = TABLE_CAP
-    prefix, address = _table_prefix(limit)
     d0 = math.isqrt(n // (limit + 1)) + 1
     end = math.isqrt(n) + 1
     # the fold pays only past CHUNK table terms; there d1 ~ (2N)^(1/3) balances
@@ -232,7 +223,8 @@ def s_identity(n: int) -> int:
         total += divisor_summatory_batch(n // d ** 2)
     kernel = summatory._compiled_kernel()
     if kernel is not None:
-        return total + kernel.gcdsum_table_sum(n, d0, d1, address)
+        return total + kernel.gcdsum_table_sum(n, d0, d1)
+    prefix = _table_prefix()
     total += int(prefix[n // np.arange(d0, d1, dtype=np.int64) ** 2].sum())
     if d1 < end:
         total += _folded_tail(prefix, n, d1)

@@ -13,9 +13,9 @@ once, and divisor_summatory(x) is its one-row case.  Its floor sums run in
 whole chunks of CHUNK values of k, in one of two kernels.
 
 The compiled kernel, floor_sum.c, is built with the system C compiler on
-the first floor_sum, divisor_prefix, gcd_sum.s_lemma1 or gcd_sum.s_identity
-call in a process, cached per user and loaded with ctypes; every later
-call finds it loaded without taking a lock.  Its header gives the route
+the first floor_sum, gcd_sum.s_lemma1 or gcd_sum.s_identity call in a
+process, cached per user and loaded with ctypes; every later call finds it
+loaded without taking a lock.  Its header gives the route
 that each row and chunk of k takes: int64 quotients, float64 quotients,
 or float64 products with reciprocals r_k that are rounded up a little,
 and the proof of those products.
@@ -27,10 +27,11 @@ NumPy kernel, _floor_sum_numpy, which the tests also use as the
 reference.  It builds no reciprocals: it divides in float64 below 2^53
 and in int64 above, and sums each chunk in int64.
 
-divisor_prefix(limit) is the table D(0..limit) that s_identity reads its
-small D(x) from.  The library's gcdsum_divisor_prefix sieves the divisor
-pairs in segments that stay in the L1 cache and writes the running sums
-as it goes; where no library loads, it is np.cumsum of sieve_tau's sieve.
+The library also owns the divisor table D(0..TABLE_CAP) that
+gcd_sum.s_identity reads its small D(x) from: a fixed static array that
+floor_sum.c sieves when it loads, and that its gcdsum_table_sum reads.  No
+table crosses ctypes.  Where no library loads, gcd_sum builds the same
+table in NumPy.
 
 lattice_count evaluates the unfolded floor sum sum_{r<=M} floor(M/r)
 instead, batching the O(sqrt M) maximal ranges of r over which the
@@ -72,9 +73,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .arith import check_natural, sieve_tau
+from .arith import check_natural
 
 CHUNK = 2**14
+# the last entry of the divisor table, D(0..TABLE_CAP), 1 MB
+TABLE_CAP = 2**17
 MAX_X = 225_203_186_528_917_274
 # The largest X with X * e < 1, where e = (1 + 2^-53)^3 (1 + 2^-50) - 1 is the
 # relative excess of a reciprocal product; floor_sum.c gives the proof.
@@ -112,10 +115,12 @@ _SOURCE = Path(__file__).with_name("floor_sum.c")
 # no fused multiply-adds.  -fopenmp-simd enables only the source's `omp simd`
 # reductions, which the proofs allow, and -fno-trapping-math lets floor
 # vectorize; neither changes a value.  No -march=native: the cached library
-# must run on any CPU of its architecture.  CHUNK and RECIP_X are defined here
-# only, and reach the C source, and the library's hash, as -D constants.
+# must run on any CPU of its architecture.  CHUNK, RECIP_X and TABLE_CAP are
+# defined here only, and reach the C source, and the library's hash, as -D
+# constants.
 _CFLAGS = ("-O3", "-shared", "-fPIC", "-ffp-contract=off", "-fno-trapping-math",
-           "-fopenmp-simd", f"-DCHUNK={CHUNK}", f"-DRECIP_X={RECIP_X}")
+           "-fopenmp-simd", f"-DCHUNK={CHUNK}", f"-DRECIP_X={RECIP_X}",
+           f"-DTABLE_CAP={TABLE_CAP}")
 _COMPILERS = ("cc", "gcc")
 _KERNEL_LOCK = threading.Lock()
 # [the library, or None], once _compiled_kernel has run; _KERNEL.clear()
@@ -124,9 +129,8 @@ _KERNEL = []
 
 
 def _compiled_kernel():
-    """The compiled library, or None where floor_sum, divisor_prefix and
-    s_identity's table half run NumPy and s_lemma1 sums its lattice counts in
-    Python.
+    """The compiled library, or None where floor_sum and s_identity's table
+    half run NumPy and s_lemma1 sums its lattice counts in Python.
 
     It is built and loaded on the first call in a process and kept in
     _KERNEL.  A warm call reads _KERNEL without a lock.  A cold one takes
@@ -183,19 +187,19 @@ def _load_kernel():
 
 
 def _open_kernel(lib: Path) -> ctypes.CDLL:
-    """The library at lib, its gcdsum_floor_sum, gcdsum_divisor_prefix,
-    gcdsum_lemma1 and gcdsum_table_sum bound with their C signatures.
+    """The library at lib, its gcdsum_floor_sum, gcdsum_lemma1 and
+    gcdsum_table_sum bound with their C signatures.  Loading it runs its
+    constructor, which builds the reciprocal and divisor tables, about 1 ms.
     gcdsum_lemma1 returns an unsigned 64-bit sum, as S(N) passes 2^63 below
     MAX_X."""
     kernel = ctypes.CDLL(str(lib))
-    floor_sum, divisor_prefix = kernel.gcdsum_floor_sum, kernel.gcdsum_divisor_prefix
-    lemma1, table_sum = kernel.gcdsum_lemma1, kernel.gcdsum_table_sum
+    floor_sum, lemma1, table_sum = (kernel.gcdsum_floor_sum, kernel.gcdsum_lemma1,
+                                    kernel.gcdsum_table_sum)
     floor_sum.argtypes = (ctypes.c_int64, ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p)
-    divisor_prefix.argtypes = (ctypes.c_int64, ctypes.c_void_p)
     lemma1.argtypes = (ctypes.c_int64, ctypes.c_int64)
-    table_sum.argtypes = (ctypes.c_int64, ctypes.c_int64, ctypes.c_int64, ctypes.c_void_p)
-    floor_sum.restype, divisor_prefix.restype = ctypes.c_int, None
-    lemma1.restype, table_sum.restype = ctypes.c_uint64, ctypes.c_int64
+    table_sum.argtypes = (ctypes.c_int64, ctypes.c_int64, ctypes.c_int64)
+    floor_sum.restype, lemma1.restype, table_sum.restype = (ctypes.c_int, ctypes.c_uint64,
+                                                            ctypes.c_int64)
     return kernel
 
 
@@ -275,24 +279,6 @@ def _floor_sum_numpy(x: np.ndarray, r: np.ndarray) -> int:
             q = np.divide(float(v), kf[:n]).astype(np.int64) if v < 2**53 else v // k[:n]
             total += int(q.sum())
     return total
-
-
-def divisor_prefix(limit: int) -> np.ndarray:
-    """D(0), D(1), ..., D(limit) as one int64 array: the running sums of tau.
-
-    The package's one caller, s_identity, passes gcd_sum.TABLE_CAP = 2^17.
-    The compiled library's gcdsum_divisor_prefix sieves the array in
-    segments wherever _compiled_kernel loads it, and does not check limit.
-    Elsewhere it is np.cumsum of sieve_tau's sieve, which shares no code
-    with the C sieve and is the tests' reference; sieve_tau checks limit
-    against arith.SIEVE_CAP, far above TABLE_CAP.
-    """
-    kernel = _compiled_kernel()
-    if kernel is None:
-        return np.cumsum(sieve_tau(limit))
-    out = np.empty(limit + 1, dtype=np.int64)
-    kernel.gcdsum_divisor_prefix(limit, out.ctypes.data)
-    return out
 
 
 def divisor_summatory_batch(x: np.ndarray) -> int:

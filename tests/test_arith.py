@@ -82,8 +82,8 @@ def test_sieve_limit_check_at_the_cap():
 
 
 def test_identity_table_is_within_the_sieve_cap():
-    # divisor_prefix's NumPy fallback builds s_identity's table with the
-    # checked sieve_tau(TABLE_CAP), so that build must never be refused
+    # s_identity's NumPy fallback builds its table with the checked
+    # sieve_tau(TABLE_CAP), so that build must never be refused
     assert gcd_sum.TABLE_CAP <= SIEVE_CAP
 
 

@@ -197,9 +197,9 @@ def test_exact_refuses_the_largest_natural_at_once(monkeypatch, capsys, deadline
 
 def test_out_of_memory_is_one_error_line(monkeypatch, capsys):
     # the CLI reports a MemoryError in one line: floor_sum raises one when
-    # gcdsum_floor_sum cannot allocate a chunk of reciprocals (returns -1) on
-    # a warm table, and a cold table build when np.empty cannot allocate the
-    # table that divisor_prefix fills
+    # gcdsum_floor_sum cannot allocate a chunk of reciprocals (returns -1),
+    # and the NumPy fallback's cold table build when its sieve cannot
+    # allocate the table
     s_identity(1)
     failing = types.SimpleNamespace(gcdsum_floor_sum=lambda *args: -1)
     monkeypatch.setattr(gcdsum.summatory, "_compiled_kernel", lambda: failing)
@@ -212,8 +212,9 @@ def test_out_of_memory_is_one_error_line(monkeypatch, capsys):
         raise MemoryError(f"Unable to allocate an array with shape ({limit + 1},)")
 
     # a failed build leaves the table cache empty
-    gcdsum.gcd_sum._TABLES.clear()
-    monkeypatch.setattr(gcdsum.gcd_sum, "divisor_prefix", no_memory)
+    gcdsum.gcd_sum._TABLE.clear()
+    monkeypatch.setattr(gcdsum.summatory, "_compiled_kernel", lambda: None)
+    monkeypatch.setattr(gcdsum.gcd_sum, "sieve_tau", no_memory)
     assert run(["exact", "10"]) == 1
     captured = capsys.readouterr()
     assert captured.err == "error: Unable to allocate an array with shape (131073,)\n"

@@ -1,5 +1,4 @@
 import functools
-import gc
 import itertools
 import math
 import random
@@ -160,10 +159,10 @@ def test_identity_matches_s_upto_where_d0_steps_at_the_table_cap(lo, hi):
 
 @pytest.fixture
 def cold_table():
-    """Empty s_identity's table cache before and after the test."""
-    gcd_sum._TABLES.clear()
+    """Empty the NumPy fallback's table cache before and after the test."""
+    gcd_sum._TABLE.clear()
     yield
-    gcd_sum._TABLES.clear()
+    gcd_sum._TABLE.clear()
 
 
 @pytest.fixture
@@ -191,21 +190,36 @@ def traced_identity(monkeypatch):
 
 @pytest.fixture
 def table_builds(monkeypatch, cold_table):
-    """The limits of the divisor tables built from here on, in order."""
+    """The limits of the sieves that gcd_sum calls from here on, in order.
+
+    Only the NumPy fallback's table build calls one in the tests that use
+    this; the compiled library builds its table when it loads, in C.
+    """
     limits = []
 
     def counting(limit):
         limits.append(limit)
-        return build(limit)
+        return sieve(limit)
 
-    build = gcd_sum.divisor_prefix
-    monkeypatch.setattr(gcd_sum, "divisor_prefix", counting)
+    sieve = gcd_sum.sieve_tau
+    monkeypatch.setattr(gcd_sum, "sieve_tau", counting)
     return limits
 
 
+def _numpy_table_builds():
+    """table_builds after s_identity on a cold cache: none where the library
+    loads, and one table of TABLE_CAP + 1 entries on the NumPy fallback."""
+    return [] if summatory._compiled_kernel() is not None else [TABLE_CAP]
+
+
 def _set_table_cap(monkeypatch, cap):
-    """Patch gcd_sum.TABLE_CAP to cap, unless cap is None; returns s_identity's table limit."""
+    """Patch gcd_sum.TABLE_CAP to cap, unless cap is None; returns s_identity's table limit.
+
+    A lower cap moves the split and reads a prefix of the one table; a
+    higher one would read past the compiled library's table.
+    """
     if cap is not None:
+        assert cap <= summatory.TABLE_CAP
         monkeypatch.setattr(gcd_sum, "TABLE_CAP", cap)
     return gcd_sum.TABLE_CAP
 
@@ -301,13 +315,12 @@ def _record_folds(monkeypatch):
 
         monkeypatch.setattr(gcd_sum, "_folded_tail", record_fold)
     else:
-        def record_table_sum(n, d0, d1, address):
+        def record_table_sum(n, d0, d1):
             if d1 <= math.isqrt(n):
                 folds.append((n, d1))
-            return kernel.gcdsum_table_sum(n, d0, d1, address)
+            return kernel.gcdsum_table_sum(n, d0, d1)
 
         recording = types.SimpleNamespace(gcdsum_floor_sum=kernel.gcdsum_floor_sum,
-                                          gcdsum_divisor_prefix=kernel.gcdsum_divisor_prefix,
                                           gcdsum_table_sum=record_table_sum)
         monkeypatch.setattr(summatory, "_compiled_kernel", lambda: recording)
     return folds
@@ -339,7 +352,7 @@ def test_folded_tail_matches_the_gather_for_every_d1(monkeypatch, cap):
     # and gcdsum_table_sum(n, d0, d1) matches the gather of every d >= d0
     kernel = summatory._compiled_kernel()
     limit = _set_table_cap(monkeypatch, cap)
-    prefix, address = gcd_sum._table_prefix(limit)
+    prefix = gcd_sum._table_prefix()
     for n in range(1, 3001):
         r = math.isqrt(n)
         d0 = math.isqrt(n // (limit + 1)) + 1
@@ -349,7 +362,7 @@ def test_folded_tail_matches_the_gather_for_every_d1(monkeypatch, cap):
         for d1 in range(d0, r + 2):
             assert gcd_sum._folded_tail(prefix, n, d1) == tail[d1 - d0], (n, d1)
             if kernel is not None:
-                assert kernel.gcdsum_table_sum(n, d0, d1, address) == tail[0], (n, d1)
+                assert kernel.gcdsum_table_sum(n, d0, d1) == tail[0], (n, d1)
 
 
 # the N >= 8 * 10^14 nearest to it whose table half has the most terms to
@@ -370,41 +383,25 @@ def test_compiled_table_sum_at_its_isqrt_edges():
     # test_vectorized_isqrt_matches_math_isqrt: the fold's m = 1 term takes
     # isqrt(N) itself.  Each N is folded from s_identity's d1 and from d0
     table_sum = _compiled_table_sum()
-    prefix, address = gcd_sum._table_prefix(TABLE_CAP)
+    prefix = gcd_sum._table_prefix()
     ks = [2**26 + e for e in (-2, -1, 0, 1, 2)] + [94906265 + e for e in (-2, -1, 0, 1, 2)]
     ks.append(math.isqrt(MAX_X))
     for n in (v for k in ks for v in (k * k - 1, k * k, k * k + 1) if v <= MAX_X):
         d0, d1 = _split(n)
         for d in (d0, d0 + 1, d1):
-            assert table_sum(n, d0, d, address) == _table_half(prefix, n, d0, d), (n, d)
+            assert table_sum(n, d0, d) == _table_half(prefix, n, d0, d), (n, d)
 
 
 def test_compiled_table_sum_at_the_longest_gather(monkeypatch):
     table_sum = _compiled_table_sum()
-    prefix, address = gcd_sum._table_prefix(TABLE_CAP)
+    prefix = gcd_sum._table_prefix()
     n = LONGEST_GATHER_N
     d0, d1 = _split(n)
     assert d1 - d0 == 38836
-    assert table_sum(n, d0, d1, address) == _table_half(prefix, n, d0, d1)
+    assert table_sum(n, d0, d1) == _table_half(prefix, n, d0, d1)
     compiled = s_identity(n)
     monkeypatch.setattr(summatory, "_compiled_kernel", lambda: None)
     assert s_identity(n) == compiled
-
-
-def test_identity_reads_no_freed_table_after_a_cache_clear(monkeypatch):
-    # the address that gcdsum_table_sum reads lives in the table's own cache
-    # entry, so no address can outlive the array it points into
-    expected = s_upto(3000)[1:].tolist()
-    caps = (1000, 100, 1000, TABLE_CAP)
-    junk = []
-    for cap in caps:
-        gcd_sum._TABLES.clear()
-        gc.collect()
-        # blocks of every table's size, kept to the end, to be handed out in
-        # place of the freed tables
-        junk += [np.full(c + 1, -1, dtype=np.int64) for c in caps for _ in range(2)]
-        _set_table_cap(monkeypatch, cap)
-        assert [s_identity(n) for n in range(1, 3001)] == expected, cap
 
 
 @pytest.fixture(scope="module")
@@ -434,42 +431,69 @@ def test_identity_builds_one_table_per_process(table_builds):
     for n in range(1, 3001):
         assert s_identity(n) == s_lemma1(n), n
     assert s_identity(10**12) == FROZEN_S[10**12]
-    assert table_builds == [TABLE_CAP]
-    assert len(gcd_sum._table_prefix(TABLE_CAP)[0]) == TABLE_CAP + 1
+    assert table_builds == _numpy_table_builds()
+    assert [len(t) for t in gcd_sum._TABLE] == [TABLE_CAP + 1] * len(table_builds)
 
 
 def test_identity_table_follows_the_table_cap(table_builds, monkeypatch):
-    # the table follows TABLE_CAP, read at call time: each value gets a table
-    # of its own size
+    # TABLE_CAP, read at call time, moves the split; every value reads a
+    # prefix of the one table, which the NumPy fallback builds once, at its
+    # full size, and the compiled library when it loads
     expected = {n: s_lemma1(n) for n in (999, 10**6, 10**9 + 7)}
     for cap in (10, 1000, TABLE_CAP):
         _set_table_cap(monkeypatch, cap)
         for n, value in expected.items():
             assert s_identity(n) == value, (cap, n)
-    assert table_builds == [10, 1000, TABLE_CAP]
+    assert table_builds == _numpy_table_builds()
+
+
+def _table_entries(limit):
+    """D(1..limit) as the kernel that runs the test reads them.
+
+    The compiled library's table is read through gcdsum_table_sum: the
+    gathers of every d from 1 and from 2, with nothing folded, differ by the
+    d = 1 term, D(n).
+    """
+    kernel = summatory._compiled_kernel()
+    if kernel is None:
+        return gcd_sum._table_prefix()[1:limit + 1].tolist()
+    table_sum = kernel.gcdsum_table_sum
+    ends = [math.isqrt(n) + 1 for n in range(1, limit + 1)]
+    return [table_sum(n, 1, e) - table_sum(n, 2, e) for n, e in enumerate(ends, start=1)]
 
 
 @pytest.mark.parametrize("cap", [1, 8193, None])
 def test_identity_table_is_the_sieve_prefix_on_a_cold_cache(cold_table, monkeypatch, cap):
-    # built by the kernel that runs the test: the C sieve, or the NumPy one
+    # read from the kernel that runs the test: the C sieve's table, or the NumPy one
     limit = _set_table_cap(monkeypatch, cap)
-    s_identity(10**6)
-    assert gcd_sum._table_prefix(limit)[0].tolist() == np.cumsum(sieve_tau(limit)).tolist()
+    assert s_identity(10**6) == FROZEN_S[10**6]
+    assert _table_entries(limit) == np.cumsum(sieve_tau(limit))[1:].tolist()
 
 
-def test_identity_table_is_read_only(cold_table):
+def test_identity_table_is_read_only(cold_table, monkeypatch):
+    # the NumPy fallback's table; the compiled library's is a static array in C
+    monkeypatch.setattr(summatory, "_compiled_kernel", lambda: None)
     s_identity(10)
-    prefix, address = gcd_sum._table_prefix(TABLE_CAP)
-    assert address == prefix.ctypes.data
+    prefix = gcd_sum._table_prefix()
+    assert gcd_sum._TABLE == [prefix]
     assert not prefix.flags.writeable
     with pytest.raises(ValueError):
         prefix[5] = 0
 
 
+def test_identity_matches_s_upto_at_every_n_to_the_table_cap():
+    # D(N) enters S(N) as the d = 1 term and every other term reads a lower
+    # entry, so agreement at every N <= L proves table entries 1..L by
+    # induction; entry 0 is read only by the fold, which the frozen values
+    # from 10^12 on cover
+    table = s_upto(TABLE_CAP + 1).tolist()
+    assert [s_identity(n) for n in range(1, TABLE_CAP + 2)] == table[1:]
+
+
 def test_identity_threads_on_a_cold_table(table_builds):
     # each trial starts 4 threads on an empty table cache and an unloaded
-    # library: the locks must let exactly one of them build the table and
-    # one load the library, and every result must match
+    # library: the locks must let exactly one of them load the library and,
+    # on the NumPy fallback, one build the table, and every result must match
     # the last three fold the table half, each kernel call with its own buffer
     ns = (list(range(1, 2001)) + [10**6 + k for k in range(40)]
           + [10**10 + 1, 10**9 + 7, 10**12 + 1])
@@ -490,7 +514,7 @@ def test_identity_threads_on_a_cold_table(table_builds):
     sys.setswitchinterval(1e-6)
     try:
         for trial in range(10):
-            gcd_sum._TABLES.clear()
+            gcd_sum._TABLE.clear()
             summatory._KERNEL.clear()
             table_builds.clear()
             results = [None] * len(ns)
@@ -516,7 +540,7 @@ def test_identity_threads_on_a_cold_table(table_builds):
             assert results == serial, trial
             assert lemma1_results == serial_lemma1, trial
             assert row_results == [serial_rows] * 4, trial
-            assert table_builds == [TABLE_CAP], trial
+            assert table_builds == _numpy_table_builds(), trial
     finally:
         sys.setswitchinterval(interval)
 

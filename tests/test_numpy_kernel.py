@@ -1,15 +1,15 @@
 """The floor-sum and lemma1 tests, run again without the compiled library.
 
-floor_sum, divisor_prefix, s_lemma1 and s_identity's table half run the
-compiled library wherever it loads, so the tests of test_summatory.py and
-the frozen-value, table, fold, lemma1, thread stress and no-lock tests of
-test_gcd_sum.py check that library under their own names.  Imported here,
-they are collected a second time, and the autouse fixture below sends
-every call in them to the NumPy kernel, to s_lemma1's Python sum and to
-s_identity's NumPy gather and fold, as on a host where no compiled library
-loads.  It also empties s_identity's table cache, so that each test builds
-its own divisor table with np.cumsum(sieve_tau(limit)) instead of reading
-the one the compiled sieve built.
+floor_sum, s_lemma1 and s_identity's table half run the compiled library
+wherever it loads, so the tests of test_summatory.py and the frozen-value,
+table, fold, lemma1, thread stress and no-lock tests of test_gcd_sum.py
+check that library, and the divisor table it builds when it loads, under
+their own names.  Imported here, they are collected a second time, and the
+autouse fixture below sends every call in them to the NumPy kernel, to
+s_lemma1's Python sum and to s_identity's NumPy gather and fold, as on a
+host where no compiled library loads.  It also empties the NumPy table
+cache, so that each test builds its own divisor table, once, with
+np.cumsum(sieve_tau(TABLE_CAP)).
 """
 
 import pytest
@@ -23,7 +23,10 @@ from test_gcd_sum import (
     table_builds,
     test_batched_halves_start_where_the_gather_needs_two_chunks,
     test_identity_at_frozen_values_confirmed_by_lemma1,
+    test_identity_builds_one_table_per_process,
+    test_identity_matches_s_upto_at_every_n_to_the_table_cap,
     test_identity_matches_s_upto_where_d0_steps_at_the_table_cap,
+    test_identity_table_follows_the_table_cap,
     test_identity_table_is_the_sieve_prefix_on_a_cold_cache,
     test_identity_threads_on_a_cold_table,
     test_lattice_count_memo_is_bounded,

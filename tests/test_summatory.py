@@ -17,8 +17,7 @@ from hypothesis import strategies as st
 
 from gcdsum import divisor_summatory, lattice_count, sieve_tau, summatory
 from gcdsum.arith import MAX_NATURAL
-from gcdsum.gcd_sum import TABLE_CAP
-from gcdsum.summatory import CHUNK, MAX_X, RECIP_X, divisor_summatory_batch, floor_sum
+from gcdsum.summatory import CHUNK, MAX_X, RECIP_X, TABLE_CAP, divisor_summatory_batch, floor_sum
 from oracles import lattice_by_enumeration, tau_by_enumeration, tau_by_trial_division
 
 # the float route takes every x below 2^53
@@ -473,22 +472,6 @@ def test_threads_on_a_cold_kernel_cache_build_once(monkeypatch, cold_kernel):
     assert len(builds) == 1
     assert [p.suffix for p in cold_kernel.iterdir()] == [".so"]
     assert cold_kernel.stat().st_mode & 0o777 == 0o700
-
-
-# the entries of one segment of gcdsum_divisor_prefix's sieve in floor_sum.c
-SEGMENT = 2**13
-
-
-def test_compiled_divisor_prefix_matches_the_sieve():
-    # at every small limit, and next to every segment edge up to TABLE_CAP;
-    # 2^14 = 128^2 starts a segment, so a = 128 starts marking at its first entry
-    if summatory._compiled_kernel() is None:
-        pytest.skip("no compiled kernel on this host")
-    edges = [k * SEGMENT + e for k in range(1, TABLE_CAP // SEGMENT + 1) for e in (-1, 0, 1)]
-    reference = np.cumsum(sieve_tau(TABLE_CAP + 1))
-    for limit in [*range(1, 3001), *edges]:
-        prefix = summatory.divisor_prefix(limit)
-        assert prefix.dtype == np.int64 and np.array_equal(prefix, reference[:limit + 1]), limit
 
 
 def test_floor_sum_refuses_rows_of_unequal_length():

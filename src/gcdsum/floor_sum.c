@@ -109,12 +109,25 @@
    integer code too, not cloned; it allocates nothing and cannot fail.
 
    gcdsum_table_sum returns the table half of s_identity(n): with d0 =
-   isqrt(n / (L + 1)) + 1 for the caller's table limit L <= TABLE_CAP, and
-   d0 <= d1 <= isqrt(n) + 1, it is
-   sum_{d0 <= d < d1} prefix[n / d^2] plus the fold of every d >= d1,
-   sum_{m <= n / d1^2} tau(m) (isqrt(n / m) - d1 + 1) with
+   isqrt(n / (L + 1)) + 1 for the caller's table limit L <= TABLE_CAP, it
+   sets d1 = max(trunc(cbrt(2n)), d0), which balances the two parts, and
+   returns sum_{d0 <= d < d1} prefix[n / d^2] plus the fold of every
+   d >= d1, sum_{m <= n / d1^2} tau(m) (isqrt(n / m) - d1 + 1) with
    tau(m) = prefix[m] - prefix[m - 1]: s_identity's NumPy gather and
    gcd_sum._folded_tail, whose docstring derives the fold, in one call.
+   Any d1 in [d0, isqrt(n) + 1] gives the same sum; this one has
+   d0 <= d1 <= isqrt(n) for every n >= 1.  First d0 <= isqrt(n): d0 = 1
+   for n <= L, and for n > L, k = isqrt(n / (L + 1)) >= 1 gives
+   (k + 1)^2 <= 4 k^2 <= (L + 1) k^2 <= n.  Then the root: for n >= 5,
+   (2n)^(1/3) = sqrt(n) (4 / n)^(1/6) <= sqrt(n) / 1.03, a margin far
+   wider than the roundings of 2.0 * n and of libm's cbrt, so the computed
+   root is below sqrt(n) and truncates to at most isqrt(n); at n = 4 it is
+   within a few ulps of 2, so it truncates to 1 or 2 = isqrt(4); for
+   n <= 3 it is below 6^(1/3) < 1.82 and truncates to 1 = isqrt(n).  The
+   max with d0 keeps both bounds.  So the gather runs at most
+   isqrt(n) - d0 terms, and the fold runs at every n, from d1 <= isqrt(n),
+   over the m <= n / d1^2 <= L.  Called with a larger start d0' <=
+   isqrt(n) + 1, it returns the sum over d >= d0' in the same way.
    It requires n / d0^2 <= TABLE_CAP, which that d0 gives: then every
    n / d^2 with d >= d0, and every m, is inside the table.  Its isqrt
    is summatory._isqrt in scalar form: the truncated sqrt((double)q) of
@@ -124,8 +137,8 @@
    isqrt(n) D(L), as it equals the gather over d1 <= d <= isqrt(n), so the
    sum is at most (d1 - d0 + isqrt(n)) D(L) <= 2 isqrt(n) D(L)
    < 2^30 * 2^21 for n <= MAX_X and L <= TABLE_CAP = 2^17, far below
-   2^63.  Scalar integer code, not cloned; it allocates nothing and cannot
-   fail. */
+   2^63.  Scalar integer code but for the one cbrt, not cloned; it
+   allocates nothing and cannot fail. */
 
 #include <math.h>
 #include <stdint.h>
@@ -305,9 +318,11 @@ uint64_t gcdsum_lemma1(int64_t n, int64_t end)
     return total;
 }
 
-int64_t gcdsum_table_sum(int64_t n, int64_t d0, int64_t d1)
+int64_t gcdsum_table_sum(int64_t n, int64_t d0)
 {
-    int64_t total = 0;
+    int64_t total = 0, d1 = (int64_t)cbrt(2.0 * n);
+    if (d1 < d0)
+        d1 = d0;
     for (int64_t d = d0; d < d1; d++)
         total += prefix[n / (d * d)];
     for (int64_t m = 1, end = n / (d1 * d1); m <= end; m++) {

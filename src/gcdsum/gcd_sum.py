@@ -25,25 +25,25 @@ identity  folds the same inner count into the divisor summatory function,
 
           the production evaluator.  It splits the d at the table limit
           L = TABLE_CAP = 2^17: with d0 = isqrt(N // (L + 1)) + 1, every
-          d >= d0 has floor(N / d^2) <= L, and d1 = (2N)^(1/3), clamped to
-          [d0, sqrt(N) + 1], balances the last two of three ranges:
+          d >= d0 has floor(N / d^2) <= L, and d1 = max((2N)^(1/3), d0),
+          truncated, balances the last two of three ranges; d0 <= d1 <=
+          isqrt(N) at every N, as floor_sum.c's header proves:
 
           d < d0        the large terms, x = floor(N / d^2) > L: exact D(x)
                         from divisor_summatory_batch, in blocks of CHUNK
                         values of d.
           d0 <= d < d1  a gather of prefix[N // d^2] from one divisor
                         table, prefix[x] = D(x) for x <= L; at most 38836
-                        terms, at N near 8 * 10^14.
+                        terms, at N near 8 * 10^14, and none for N <= 3.
           d >= d1       folded by the hyperbola method on the d-axis into a
                         sum over m <= N // d1^2 of tau(m) times the number
                         of d >= d1 with d^2 m <= N.
 
           The last two ranges, the table half, are one call of the
-          compiled library's gcdsum_table_sum wherever it loads, and a
-          NumPy gather and _folded_tail elsewhere.  While the table half
-          has at most CHUNK terms (N below about 2.7 * 10^8) the fold does
-          not pay, so d1 = sqrt(N) + 1 and nothing is folded; for N <= L,
-          d0 = 1 and S(N) is the gather alone.  The table, 1 MB, holds
+          compiled library's gcdsum_table_sum(N, d0), which picks d1
+          itself, wherever it loads, and of _table_sum(N, d0), its NumPy
+          twin, elsewhere.  The fold runs at every N; for N <= L, d0 = 1
+          and S(N) is the table half alone.  The table, 1 MB, holds
           D(0..summatory.TABLE_CAP), the TABLE_CAP this module imports: the
           compiled library sieves it into a static array of its own when
           it loads, and gcdsum_table_sum reads it there, so no table or
@@ -52,10 +52,10 @@ identity  folds the same inner count into the divisor summatory function,
           So the first call in a process loads, or on an empty cache
           compiles, the library even for N <= L.  A call costs about
           sqrt(N) log(d0) exact floor quotients, taken by summatory's
-          floor-sum kernels, and fewer than 2 N^(1/3) table reads in place
-          of sqrt(N).  At N = 10^12 that is 2762 large terms in one block,
-          8.5 million quotients and 16000 table reads.
-          Any L in [1, TABLE_CAP] and any d1 in [d0, sqrt(N) + 1] give the
+          floor-sum kernels, and, at every N, fewer than 2 N^(1/3) table
+          reads in place of sqrt(N).  At N = 10^12 that is 2762 large terms
+          in one block, 8.5 million quotients and 16000 table reads.
+          Any L in [1, TABLE_CAP] and any d1 in [d0, isqrt(N) + 1] give the
           same integer; they only move the cost between the ranges.
           s_identity reads TABLE_CAP at call time, so the tests lower L by
           patching it; a lowered L reads a prefix of the same table.
@@ -193,6 +193,21 @@ def _folded_tail(prefix: np.ndarray, n: int, d1: int) -> int:
     return int((tau * (_isqrt(n // np.arange(1, m + 1, dtype=np.int64)) - (d1 - 1))).sum())
 
 
+def _table_sum(n: int, d0: int) -> int:
+    """sum_{d0 <= d <= isqrt(N)} D(N // d^2): gcdsum_table_sum's NumPy twin.
+
+    It sets d1 as the library does, max((2N)^(1/3), d0) truncated, so
+    d0 <= d1 <= isqrt(N), then gathers prefix[N // d^2] for d0 <= d < d1
+    from _table_prefix's table and folds the d >= d1 with _folded_tail.  Its
+    (2N)^(1/3) may round apart from the library's cbrt; any d1 in
+    [d0, isqrt(N) + 1] gives the same sum.
+    """
+    prefix = _table_prefix()
+    d1 = max(int((2 * n) ** (1 / 3)), d0)
+    gather = int(prefix[n // np.arange(d0, d1, dtype=np.int64) ** 2].sum())
+    return gather + _folded_tail(prefix, n, d1)
+
+
 def s_identity(n: int) -> int:
     """S(N) as a sum of divisor summatory values; the production path.
 
@@ -200,35 +215,25 @@ def s_identity(n: int) -> int:
     call starts, go to divisor_summatory_batch in blocks of CHUNK values of
     d, which bound the arrays that a call holds at once: one batch of all
     1.3 million large terms at MAX_X peaked at 114 MB against 39 MB, for no
-    speed gain (BENCH_19.json).  The d in [d0, d1) are gathered from the
-    table's prefix sums, at most 38836 of them, at N near 8 * 10^14.  The
-    d >= d1 are folded.  While the table half has at most CHUNK terms,
-    d1 = sqrt(N) + 1 and nothing is folded.  The table half is one call of
-    the compiled library's gcdsum_table_sum wherever
+    speed gain (BENCH_19.json).  The d >= d0, the table half, are one call
+    of the compiled library's gcdsum_table_sum(N, d0) wherever
     summatory._compiled_kernel loads it, looked up at call time, which
-    reads the library's own table; elsewhere it is one NumPy gather and
-    _folded_tail over _table_prefix's table, which the tests check the
-    library against.
+    reads the library's own table; elsewhere of _table_sum(N, d0), its
+    NumPy twin over _table_prefix's table, which the tests check the
+    library against.  Each picks its own d1 = max((2N)^(1/3), d0) <=
+    isqrt(N), gathers the d in [d0, d1) from the table's prefix sums, at
+    most 38836 of them, at N near 8 * 10^14, and folds the d >= d1, at
+    every N.
     """
     check_argument(n, Algorithm.IDENTITY_SUMMATORY)
-    limit = TABLE_CAP
-    d0 = math.isqrt(n // (limit + 1)) + 1
-    end = math.isqrt(n) + 1
-    # the fold pays only past CHUNK table terms; there d1 ~ (2N)^(1/3) balances
-    # gather and fold, and any d1 in [d0, end] gives the same sum
-    d1 = end if end - d0 <= CHUNK else min(max(int((2 * n) ** (1 / 3)), d0), end)
+    d0 = math.isqrt(n // (TABLE_CAP + 1)) + 1
     total = 0
     for lo in range(1, d0, CHUNK):
         d = np.arange(lo, min(lo + CHUNK, d0), dtype=np.int64)
         total += divisor_summatory_batch(n // d ** 2)
     kernel = summatory._compiled_kernel()
-    if kernel is not None:
-        return total + kernel.gcdsum_table_sum(n, d0, d1)
-    prefix = _table_prefix()
-    total += int(prefix[n // np.arange(d0, d1, dtype=np.int64) ** 2].sum())
-    if d1 < end:
-        total += _folded_tail(prefix, n, d1)
-    return total
+    table_sum = _table_sum if kernel is None else kernel.gcdsum_table_sum
+    return total + table_sum(n, d0)
 
 
 def s_upto(m: int) -> np.ndarray:

@@ -196,8 +196,7 @@ def _open_kernel(lib: Path) -> ctypes.CDLL:
     floor_sum, lemma1, table_sum = (kernel.gcdsum_floor_sum, kernel.gcdsum_lemma1,
                                     kernel.gcdsum_table_sum)
     floor_sum.argtypes = (ctypes.c_int64, ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p)
-    lemma1.argtypes = (ctypes.c_int64, ctypes.c_int64)
-    table_sum.argtypes = (ctypes.c_int64, ctypes.c_int64, ctypes.c_int64)
+    lemma1.argtypes = table_sum.argtypes = (ctypes.c_int64, ctypes.c_int64)
     floor_sum.restype, lemma1.restype, table_sum.restype = (ctypes.c_int, ctypes.c_uint64,
                                                             ctypes.c_int64)
     return kernel

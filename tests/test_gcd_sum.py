@@ -29,8 +29,9 @@ from oracles import common_divisors, s_by_pair_enumeration
 from oracles import tau_by_trial_division as tau
 
 # S(N) at every N that the CI workflow evaluates (tests/test_workflow.py holds
-# the workflow to this table).  lemma1 confirmed each value up to 10^16 at
-# least once; S(MAX_X) rests on identity alone, in one CI step
+# the workflow to this table).  lemma1 confirmed each value at least once:
+# those up to 10^16 in the tests or in CI, and S(MAX_X) offline (196 s, and
+# later 64 s), which CI checks by identity in one step
 FROZEN_S = {
     10**6: 21107131,
     10**12: 43830142939380,
@@ -67,22 +68,22 @@ def test_regression_value_at_1e6():
 
 
 @pytest.mark.parametrize(("n", "value"), [(n, FROZEN_S[n]) for n in (10**14, 10**15, 10**16)])
-def test_identity_at_frozen_values_confirmed_by_lemma1(n, value):
+def test_identity_at_frozen_values_confirmed_by_lemma1(folding_identity, n, value):
     # s_lemma1 gave each value once (52 s, 226 s and 772 s).  10^14 spans two
     # blocks of d.  At 10^15 the row of d = 1 is in [RECIP_X, 2^53): int64 in
     # its first chunk, float divide in its later ones.  At 10^16 the row of
     # d = 1 is at or above 2^53, int64 in every chunk, and those of d = 2, 3
     # take the two routes of 10^15's d = 1.  The rows of larger d multiply
-    assert s_identity(n) == value
+    assert folding_identity(n) == value
 
 
-def test_identity_at_max_x_on_the_compiled_kernel():
-    # the largest batch: 80 blocks of d, 16 rows at or above RECIP_X.  The
-    # value rests on identity alone; test_numpy_kernel.py does not import
-    # this test, since the NumPy kernel takes about 16 s here
+def test_identity_at_max_x_on_the_compiled_kernel(folding_identity):
+    # the largest batch: 80 blocks of d, 16 rows at or above RECIP_X.  lemma1
+    # confirmed the value offline; test_numpy_kernel.py does not import this
+    # test, since the NumPy kernel takes about 16 s here
     if summatory._compiled_kernel() is None:
         pytest.skip("no compiled kernel on this host")
-    assert s_identity(MAX_X) == FROZEN_S[MAX_X]
+    assert folding_identity(MAX_X) == FROZEN_S[MAX_X]
 
 
 def test_brute_matches_pair_enumeration():
@@ -120,7 +121,7 @@ def test_s_upto_matches_identity():
 
 
 def test_s_upto_matches_identity_under_a_lowered_table_cap(monkeypatch):
-    # at L = 2^17 every N <= 20000 is one gather; at TABLE_CAP = 100 each N
+    # at L = 2^17 every N <= 20000 is the table half alone; at TABLE_CAP = 100 each N
     # above 100 sends up to 14 large terms, short rows of many widths,
     # through divisor_summatory_batch
     table = s_upto(20000)
@@ -184,6 +185,47 @@ def traced_identity(monkeypatch):
     def run(n):
         seen.clear()
         return s_identity(n), list(seen)
+
+    return run
+
+
+@pytest.fixture
+def folding_identity(monkeypatch):
+    """folding_identity(n) -> s_identity(n), checked to fold its table half.
+
+    Where the library loads, the one gcdsum_table_sum call must get N and d0
+    alone, so that the library picks its own d1; elsewhere the one
+    _folded_tail call must fold from a d1 in [d0, isqrt(N)].
+    """
+    calls = []
+    kernel = summatory._compiled_kernel()
+    if kernel is None:
+        fold = gcd_sum._folded_tail
+
+        def record_fold(prefix, n, d1):
+            calls.append((n, d1))
+            return fold(prefix, n, d1)
+
+        monkeypatch.setattr(gcd_sum, "_folded_tail", record_fold)
+    else:
+        def record_table_sum(*args):
+            calls.append(args)
+            return kernel.gcdsum_table_sum(*args)
+
+        recording = types.SimpleNamespace(gcdsum_floor_sum=kernel.gcdsum_floor_sum,
+                                          gcdsum_lemma1=kernel.gcdsum_lemma1,
+                                          gcdsum_table_sum=record_table_sum)
+        monkeypatch.setattr(summatory, "_compiled_kernel", lambda: recording)
+
+    def run(n):
+        calls.clear()
+        value = s_identity(n)
+        if kernel is not None:
+            assert calls == [(n, _d0(n))], n
+        else:
+            assert len(calls) == 1 and calls[0][0] == n, n
+            assert _d0(n) <= calls[0][1] <= math.isqrt(n), n
+        return value
 
     return run
 
@@ -279,17 +321,16 @@ def test_identity_where_split_point_moves(monkeypatch, traced_identity):
 @pytest.mark.parametrize("cap", [1000, None])
 def test_identity_where_the_first_term_leaves_the_table(monkeypatch, traced_identity, cap):
     limit = _set_table_cap(monkeypatch, cap)
-    # N <= L is one gather; from L + 1 on, d = 1 goes to divisor_summatory_batch
+    # N <= L is the table half alone; from L + 1 on, d = 1 goes to
+    # divisor_summatory_batch
     for n, expected in ((limit - 1, []), (limit, []), (limit + 1, [limit + 1]),
                         (limit + 2, [limit + 2])):
         assert traced_identity(n) == (s_lemma1(n), expected), n
 
 
-def _table_half(prefix, n, d0, d1):
-    """The table half of s_identity(n) as the NumPy path sums it: the plain
-    gather of d0 <= d < d1 and the fold of d >= d1."""
-    gather = int(prefix[n // np.arange(d0, d1, dtype=np.int64) ** 2].sum())
-    return gather + gcd_sum._folded_tail(prefix, n, d1)
+def _d0(n, limit=TABLE_CAP):
+    """s_identity's d0 at n: the first d whose floor(n / d^2) is in the table."""
+    return math.isqrt(n // (limit + 1)) + 1
 
 
 def _compiled_table_sum():
@@ -300,105 +341,72 @@ def _compiled_table_sum():
     return kernel.gcdsum_table_sum
 
 
-def _record_folds(monkeypatch):
-    """The list that gets (n, d1) for each s_identity call that folds the
-    d >= d1, d1 <= isqrt(n), on the path that runs: gcdsum_table_sum where
-    the library loads, _folded_tail elsewhere."""
-    folds = []
-    kernel = summatory._compiled_kernel()
-    if kernel is None:
-        fold = gcd_sum._folded_tail
-
-        def record_fold(prefix, n, d1):
-            folds.append((n, d1))
-            return fold(prefix, n, d1)
-
-        monkeypatch.setattr(gcd_sum, "_folded_tail", record_fold)
-    else:
-        def record_table_sum(n, d0, d1):
-            if d1 <= math.isqrt(n):
-                folds.append((n, d1))
-            return kernel.gcdsum_table_sum(n, d0, d1)
-
-        recording = types.SimpleNamespace(gcdsum_floor_sum=kernel.gcdsum_floor_sum,
-                                          gcdsum_table_sum=record_table_sum)
-        monkeypatch.setattr(summatory, "_compiled_kernel", lambda: recording)
-    return folds
+# the N >= 8 * 10^14 nearest to it whose table half has the most terms to
+# gather, 38836; 909 more N in [7.8 * 10^14, 8.3 * 10^14] have as many.
+# s_lemma1 gave its S(N) once (3.4 s)
+LONGEST_GATHER_N = 800005960405842
+LONGEST_GATHER_S = 43861045718747322
 
 
-def test_batched_halves_start_where_the_gather_needs_two_chunks(monkeypatch, traced_identity):
-    # below the first N whose gather of d >= d0 exceeds CHUNK terms, the table
-    # half is one gather; from it on, the d >= d1 are folded.  Either way every
-    # large term goes through divisor_summatory_batch, in order of d
-    k = next(k for k in itertools.count(CHUNK)
-             if k - math.isqrt(k * k // (TABLE_CAP + 1)) > CHUNK)
-    ns = (TABLE_CAP, 10**6, 10**8, k * k - 1, k * k, k * k + 1)
+def test_table_half_folds_at_every_n(folding_identity, traced_identity):
+    # no N is too small to fold, also below and at k^2, the first square whose
+    # table half has more than CHUNK terms, where a fold that paid only past
+    # CHUNK table terms started.  The frozen-value tests check the larger
+    # frozen N through folding_identity too.  Every large term still goes
+    # through divisor_summatory_batch, in order of d
+    k = next(k for k in itertools.count(CHUNK) if k + 1 - _d0(k * k) > CHUNK)
+    ns = [*range(1, 3001), TABLE_CAP - 1, TABLE_CAP, TABLE_CAP + 1, 10**8,
+          k * k - 1, k * k, k * k + 1]
     expected = {n: s_lemma1(n) for n in ns}
-    folds = _record_folds(monkeypatch)
-    for n in ns:
-        folds.clear()
-        value, large = traced_identity(n)
-        assert value == expected[n], n
-        assert large == _large_terms(n, TABLE_CAP), n
-        if n < k * k:
-            assert folds == [], n
-        else:
-            assert len(folds) == 1 and folds[0][0] == n, n
-            assert math.isqrt(n // (TABLE_CAP + 1)) < folds[0][1] <= math.isqrt(n), n
+    expected.update({n: FROZEN_S[n] for n in (10**6, 10**12)})
+    expected[LONGEST_GATHER_N] = LONGEST_GATHER_S
+    for n, value in expected.items():
+        assert folding_identity(n) == value, n
+    for n in (TABLE_CAP, TABLE_CAP + 1, 10**6, 10**8, k * k - 1, k * k, k * k + 1):
+        assert traced_identity(n) == (expected[n], _large_terms(n, TABLE_CAP)), n
 
 
 @pytest.mark.parametrize("cap", [10, 100, 1000])
 def test_folded_tail_matches_the_gather_for_every_d1(monkeypatch, cap):
-    # and gcdsum_table_sum(n, d0, d1) matches the gather of every d >= d0
+    # and gcdsum_table_sum(n, d) from every start d >= d0 matches the gather
+    # of every d' >= d
     kernel = summatory._compiled_kernel()
     limit = _set_table_cap(monkeypatch, cap)
     prefix = gcd_sum._table_prefix()
     for n in range(1, 3001):
         r = math.isqrt(n)
-        d0 = math.isqrt(n // (limit + 1)) + 1
-        # tail[d1 - d0] = sum_{d1 <= d <= r} prefix[n // d^2], the plain gather
+        d0 = _d0(n, limit)
+        # tail[d - d0] = sum_{d <= d' <= r} prefix[n // d'^2], the plain gather
         terms = [int(prefix[n // (d * d)]) for d in range(d0, r + 1)]
         tail = list(itertools.accumulate(reversed(terms), initial=0))[::-1]
-        for d1 in range(d0, r + 2):
-            assert gcd_sum._folded_tail(prefix, n, d1) == tail[d1 - d0], (n, d1)
+        for d in range(d0, r + 2):
+            assert gcd_sum._folded_tail(prefix, n, d) == tail[d - d0], (n, d)
             if kernel is not None:
-                assert kernel.gcdsum_table_sum(n, d0, d1) == tail[0], (n, d1)
-
-
-# the N >= 8 * 10^14 nearest to it whose table half has the most terms to
-# gather, 38836; 909 more N in [7.8 * 10^14, 8.3 * 10^14] have as many
-LONGEST_GATHER_N = 800005960405842
-
-
-def _split(n, limit=TABLE_CAP):
-    """s_identity's d0 and d1 at n."""
-    d0 = math.isqrt(n // (limit + 1)) + 1
-    end = math.isqrt(n) + 1
-    return d0, end if end - d0 <= CHUNK else min(max(int((2 * n) ** (1 / 3)), d0), end)
+                assert kernel.gcdsum_table_sum(n, d) == tail[d - d0], (n, d)
 
 
 def test_compiled_table_sum_at_its_isqrt_edges():
     # N = k^2 - 1, k^2, k^2 + 1 about 2^52 and 2^53, where N stops being an
     # exact double, and at isqrt(MAX_X), as in
     # test_vectorized_isqrt_matches_math_isqrt: the fold's m = 1 term takes
-    # isqrt(N) itself.  Each N is folded from s_identity's d1 and from d0
+    # isqrt(N) itself.  Each N is summed from the starts d0, d0 + 1 and
+    # isqrt(N), which the library folds from its own d1, against the NumPy
+    # twin from the same start
     table_sum = _compiled_table_sum()
-    prefix = gcd_sum._table_prefix()
     ks = [2**26 + e for e in (-2, -1, 0, 1, 2)] + [94906265 + e for e in (-2, -1, 0, 1, 2)]
     ks.append(math.isqrt(MAX_X))
     for n in (v for k in ks for v in (k * k - 1, k * k, k * k + 1) if v <= MAX_X):
-        d0, d1 = _split(n)
-        for d in (d0, d0 + 1, d1):
-            assert table_sum(n, d0, d) == _table_half(prefix, n, d0, d), (n, d)
+        for d in (_d0(n), _d0(n) + 1, math.isqrt(n)):
+            assert table_sum(n, d) == gcd_sum._table_sum(n, d), (n, d)
 
 
 def test_compiled_table_sum_at_the_longest_gather(monkeypatch):
     table_sum = _compiled_table_sum()
-    prefix = gcd_sum._table_prefix()
     n = LONGEST_GATHER_N
-    d0, d1 = _split(n)
-    assert d1 - d0 == 38836
-    assert table_sum(n, d0, d1) == _table_half(prefix, n, d0, d1)
+    # the library gathers up to d1, the truncated cbrt(2.0 * N): 2N = 116961^3
+    # + 3, whose cube root is 5 ulps above 116961, so d1 = 116961
+    assert 116961**3 < 2 * n < 116962**3 and 116961 - _d0(n) == 38836
+    assert table_sum(n, _d0(n)) == gcd_sum._table_sum(n, _d0(n))
     compiled = s_identity(n)
     monkeypatch.setattr(summatory, "_compiled_kernel", lambda: None)
     assert s_identity(n) == compiled
@@ -450,16 +458,14 @@ def test_identity_table_follows_the_table_cap(table_builds, monkeypatch):
 def _table_entries(limit):
     """D(1..limit) as the kernel that runs the test reads them.
 
-    The compiled library's table is read through gcdsum_table_sum: the
-    gathers of every d from 1 and from 2, with nothing folded, differ by the
-    d = 1 term, D(n).
+    The compiled library's table is read through gcdsum_table_sum: its sums
+    of every d from 1 and from 2 differ by the d = 1 term, D(n).
     """
     kernel = summatory._compiled_kernel()
     if kernel is None:
         return gcd_sum._table_prefix()[1:limit + 1].tolist()
     table_sum = kernel.gcdsum_table_sum
-    ends = [math.isqrt(n) + 1 for n in range(1, limit + 1)]
-    return [table_sum(n, 1, e) - table_sum(n, 2, e) for n, e in enumerate(ends, start=1)]
+    return [table_sum(n, 1) - table_sum(n, 2) for n in range(1, limit + 1)]
 
 
 @pytest.mark.parametrize("cap", [1, 8193, None])

@@ -20,8 +20,8 @@ from gcdsum import summatory
 from test_gcd_sum import (
     cold_memo,
     cold_table,
+    folding_identity,
     table_builds,
-    test_batched_halves_start_where_the_gather_needs_two_chunks,
     test_identity_at_frozen_values_confirmed_by_lemma1,
     test_identity_builds_one_table_per_process,
     test_identity_matches_s_upto_at_every_n_to_the_table_cap,
@@ -36,6 +36,7 @@ from test_gcd_sum import (
     test_lemma1_matches_the_oracle_to_20000,
     test_lemma1_next_to_10_to_the_12,
     test_lemma1_threads_on_a_cold_memo,
+    test_table_half_folds_at_every_n,
     test_warm_evaluator_calls_take_no_lock,
     traced_identity,
 )
